@@ -14,10 +14,10 @@ import (
 	"maybms/internal/ws"
 )
 
-// The benchmarks mirror the experiment index of DESIGN.md: one bench
-// per table/figure the reproduction tracks. cmd/bench prints the
-// corresponding human-readable tables; these testing.B targets measure
-// the same code paths under the standard Go benchmark harness.
+// The benchmarks mirror the experiment tables E1–E8 of
+// internal/experiments: one bench per table the reproduction tracks.
+// cmd/bench prints the human-readable tables; these testing.B targets
+// measure the same code paths under the standard Go benchmark harness.
 
 // figure1DB builds the paper's Figure 1 database.
 func figure1DB() *DB {

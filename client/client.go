@@ -400,6 +400,10 @@ func (r *Rows) Next() bool {
 		case f.Done != nil:
 			r.total = f.Done.RowsStreamed
 			r.done = true
+			// Read the body to EOF so the transport sees the chunked
+			// terminator and pools the connection; closing first
+			// would drop it.
+			io.Copy(io.Discard, r.body)
 			r.body.Close()
 			return false
 		case f.Error != "":

@@ -8,14 +8,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"maybms"
 	"maybms/internal/server"
 )
 
 // startServer runs a MayBMS server on an httptest listener that counts
-// accepted TCP connections.
-func startServer(t *testing.T) (url string, conns *atomic.Int64, shutdown func()) {
+// accepted TCP connections. wrap, when non-nil, wraps the server's
+// handler.
+func startServer(t *testing.T, wrap func(http.Handler) http.Handler) (url string, conns *atomic.Int64, shutdown func()) {
 	t.Helper()
 	mdb := maybms.Open()
 	mdb.MustExec(`create table nums (n int)`)
@@ -23,7 +25,11 @@ func startServer(t *testing.T) (url string, conns *atomic.Int64, shutdown func()
 		mdb.MustExec(fmt.Sprintf(`insert into nums values (%d)`, i))
 	}
 	srv := server.New(mdb, server.Options{})
-	ts := httptest.NewUnstartedServer(srv.Handler())
+	h := srv.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	ts := httptest.NewUnstartedServer(h)
 	conns = &atomic.Int64{}
 	ts.Config.ConnState = func(c net.Conn, s http.ConnState) {
 		if s == http.StateNew {
@@ -41,7 +47,7 @@ func startServer(t *testing.T) (url string, conns *atomic.Int64, shutdown func()
 // connection: if keep-alive were broken (stale deadlines, transport
 // misconfiguration), every request would dial anew.
 func TestTransportReusesConnectionSequentially(t *testing.T) {
-	url, conns, shutdown := startServer(t)
+	url, conns, shutdown := startServer(t, nil)
 	defer shutdown()
 	db, err := Open(url)
 	if err != nil {
@@ -58,11 +64,25 @@ func TestTransportReusesConnectionSequentially(t *testing.T) {
 	}
 }
 
-// A burst of parallel streaming queries may open up to burst-size
-// connections, but the pool must keep them warm: a second burst of the
-// same size must not dial any new connection.
+// A burst of parallel streaming queries needs one connection per
+// stream, and the pool must keep every one of them warm: a second
+// burst of the same size dials nothing, and neither do sequential
+// queries after it. Both bursts are held on a barrier in the handler,
+// so each runs exactly burstSize streams at once.
 func TestTransportSurvivesParallelStreamBursts(t *testing.T) {
-	url, conns, shutdown := startServer(t)
+	const burstSize = 8
+	type gate struct{ arrived, release chan struct{} }
+	var cur atomic.Pointer[gate]
+	hold := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if g := cur.Load(); g != nil && r.URL.Path == "/v1/query/stream" {
+				g.arrived <- struct{}{}
+				<-g.release
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	url, conns, shutdown := startServer(t, hold)
 	defer shutdown()
 	db, err := Open(url)
 	if err != nil {
@@ -71,8 +91,11 @@ func TestTransportSurvivesParallelStreamBursts(t *testing.T) {
 	defer db.Close()
 
 	burst := func() {
+		g := &gate{arrived: make(chan struct{}, burstSize), release: make(chan struct{})}
+		cur.Store(g)
+		defer cur.Store(nil)
 		var wg sync.WaitGroup
-		for i := 0; i < 8; i++ {
+		for i := 0; i < burstSize; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -89,17 +112,36 @@ func TestTransportSurvivesParallelStreamBursts(t *testing.T) {
 				}
 			}()
 		}
+		timeout := time.After(30 * time.Second)
+	wait:
+		for i := 0; i < burstSize; i++ {
+			select {
+			case <-g.arrived:
+			case <-timeout:
+				t.Errorf("only %d of %d streams reached the server", i, burstSize)
+				break wait
+			}
+		}
+		close(g.release)
 		wg.Wait()
 	}
 
 	burst()
 	after := conns.Load()
-	if after > 9 { // session open + at most one conn per concurrent stream
-		t.Fatalf("first burst dialled %d connections, want <= 9", after)
+	if after > burstSize+1 { // session open + one conn per concurrent stream
+		t.Fatalf("first burst dialled %d connections, want <= %d", after, burstSize+1)
 	}
 	burst()
 	if n := conns.Load(); n != after {
 		t.Errorf("second burst dialled %d new connections, want 0 (pool reuse)", n-after)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := db.Query(`select n from nums order by n`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := conns.Load(); n != after {
+		t.Errorf("sequential queries after the bursts dialled %d new connections, want 0", n-after)
 	}
 }
 
@@ -108,7 +150,7 @@ func TestTransportSurvivesParallelStreamBursts(t *testing.T) {
 // server's generated id still lands in LastTraceID, and streaming
 // Rows carry theirs.
 func TestTraceIDRoundTrip(t *testing.T) {
-	url, _, shutdown := startServer(t)
+	url, _, shutdown := startServer(t, nil)
 	defer shutdown()
 	c, err := Open(url)
 	if err != nil {

@@ -1,96 +1,43 @@
-// Command bench regenerates the evaluation tables of EXPERIMENTS.md:
-// one experiment per table or figure the reproduction tracks (see
-// DESIGN.md for the experiment index).
+// Command bench prints the paper-shaped evaluation tables E1–E8 of
+// internal/experiments (see that package for what each one measures).
 //
 // Usage:
 //
-//	bench [-e all|e1..e8|par|paragg|trace] [-quick] [-seed N] [-parallelism N] [-json path]
+//	bench [-e all|e1..e8] [-quick] [-seed N]
 //
-// -e par runs the parallel-execution benchmark (exchange operators
-// over snapshot shards) at parallelism levels 1, 2, 4, 8 — or at
-// {1, N} when -parallelism N is given — and writes BENCH_parallel.json
-// when -json is set. -e paragg does the same for the GROUP-BY-heavy
-// pipeline-breaker workload (partitioned aggregation, sort, distinct),
-// writing BENCH_paragg.json. -e trace (or the -trace shorthand) runs
-// each workload once with per-operator execution tracing attached and
-// writes the analyzed operator trees as BENCH_trace.json. -e live
-// measures the overhead of the always-on live-query registry (traced
-// vs baseline), writing BENCH_live.json. -e plan runs
-// the cost-aware planner workload (multi-join queries with selective
-// filters over repair-key tables, plus a repeated-query plan-cache
-// curve) and writes BENCH_plan.json. -e storage compares the disk
-// engine (WAL + segments) with the memory engine (gob snapshots):
-// cold-start, scan throughput, and fsync-on/off insert latency,
-// writing BENCH_storage.json. -e txn benchmarks optimistic
-// snapshot-isolation transactions against a global-writer-lock
-// baseline and charts the conflict-rate ladder, writing
-// BENCH_txn.json.
+// System performance — client → server → confidence, layer by layer —
+// is measured by benchmark/run.sh (see benchmark/README.md).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"maybms/internal/experiments"
 )
 
 func main() {
-	which := flag.String("e", "all", "experiment to run: all, e1..e8, par, paragg, trace, live, plan, storage, txn")
-	traceRun := flag.Bool("trace", false, "shorthand for -e trace: emit per-operator execution stats")
+	which := flag.String("e", "all", "experiment to run: all, e1..e8")
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast run")
 	seed := flag.Int64("seed", 2009, "random seed")
-	parallelism := flag.Int("parallelism", 0, "for -e par/paragg: measure {1, N} instead of the default {1,2,4,8}")
-	jsonPath := flag.String("json", "", "for -e par/paragg: write the report as JSON to this path")
 	flag.Parse()
-	if *traceRun {
-		*which = "trace"
-	}
 
-	opts := experiments.Options{Quick: *quick, Seed: *seed}
-	w := os.Stdout
-	levels := []int{1, 2, 4, 8}
-	switch {
-	case *parallelism == 1:
-		levels = []int{1}
-	case *parallelism > 1:
-		levels = []int{1, *parallelism}
-	}
-	switch *which {
-	case "par":
-		experiments.EPar(w, opts, *jsonPath, levels)
-	case "paragg":
-		experiments.EParAgg(w, opts, *jsonPath, levels)
-	case "trace":
-		experiments.ETrace(w, opts, *jsonPath, *parallelism)
-	case "live":
-		experiments.ELive(w, opts, *jsonPath, *parallelism)
-	case "plan":
-		experiments.EPlan(w, opts, *jsonPath)
-	case "storage":
-		experiments.EStorage(w, opts, *jsonPath)
-	case "txn":
-		experiments.ETxn(w, opts, *jsonPath)
-	case "all":
-		experiments.All(w, opts)
-	case "e1":
-		experiments.E1(w, opts)
-	case "e2":
-		experiments.E2(w, opts)
-	case "e3":
-		experiments.E3(w, opts)
-	case "e4":
-		experiments.E4(w, opts)
-	case "e5":
-		experiments.E5(w, opts)
-	case "e6":
-		experiments.E6(w, opts)
-	case "e7":
-		experiments.E7(w, opts)
-	case "e8":
-		experiments.E8(w, opts)
-	default:
+	run := map[string]func(io.Writer, experiments.Options){
+		"all": experiments.All,
+		"e1":  experiments.E1,
+		"e2":  experiments.E2,
+		"e3":  experiments.E3,
+		"e4":  experiments.E4,
+		"e5":  experiments.E5,
+		"e6":  experiments.E6,
+		"e7":  experiments.E7,
+		"e8":  experiments.E8,
+	}[*which]
+	if run == nil {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *which)
 		os.Exit(2)
 	}
+	run(os.Stdout, experiments.Options{Quick: *quick, Seed: *seed})
 }

@@ -33,19 +33,15 @@ type planner interface {
 	// Database.planQuery); unlike Snapshot.Query it accepts write
 	// queries, which plan fine and simply bypass the cache.
 	planFor(q sql.Query) (plan.Node, []types.Value, string, bool, error)
-	// home is the owning database (for feedback recording).
-	home() *Database
 }
 
 func (d *Database) planFor(q sql.Query) (plan.Node, []types.Value, string, bool, error) {
 	return d.planQuery(q, d, d, d.planGen.Load())
 }
-func (d *Database) home() *Database { return d }
 
 func (s *Snapshot) planFor(q sql.Query) (plan.Node, []types.Value, string, bool, error) {
 	return s.db.planQuery(q, s, s, s.gen)
 }
-func (s *Snapshot) home() *Database { return s.db }
 
 // cacheLine renders the plan-cache outcome appended to both EXPLAIN
 // flavours' outlines.
@@ -74,9 +70,9 @@ func planResult(text string) *Result {
 // and discarded, so result semantics (world-set allocation, sampling
 // effort, everything) are byte-identical to running the query — and
 // renders the plan outline annotated with the recorded per-operator
-// stats. p must be the planning scope ex executes against. The
-// observed scan-pipeline cardinalities are fed back to the plan cache,
-// so an EXPLAIN ANALYZE teaches the planner about the query shape.
+// stats. p must be the planning scope ex executes against. Like
+// EXPLAIN, it leaves the plan cache as the query itself would: a cached
+// shape stays cached with the same plan.
 // lq (when non-nil) receives the plan root for live introspection.
 func explainAnalyze(s *sql.ExplainStmt, p planner, ex *exec.Executor, tr *trace.Trace, lq *LiveQuery) (*Result, plan.Node, error) {
 	n, args, fp, hit, err := p.planFor(s.Query)
@@ -96,7 +92,6 @@ func explainAnalyze(s *sql.ExplainStmt, p planner, ex *exec.Executor, tr *trace.
 	if err != nil {
 		return nil, nil, err
 	}
-	p.home().recordFeedback(fp, n, tr)
 	return planResult(tr.Render(n, time.Since(start), rows) + cacheLine(fp, hit)), n, nil
 }
 
@@ -236,12 +231,6 @@ func (d *Database) RunStatementMeta(s sql.Statement, tr *trace.Trace, meta Query
 			if err != nil {
 				return nil, n, err
 			}
-			// Plain queries do not feed their cardinalities back to the
-			// planner: with the always-on registry trace every execution
-			// would record, and a first observation (or any data change)
-			// drops the cached plan — churning the cache on the hot
-			// path. EXPLAIN ANALYZE is the explicit teaching gesture;
-			// see explainAnalyze.
 			return &Result{Rel: rel}, n, nil
 		case *sql.ExplainStmt:
 			if s.Analyze {

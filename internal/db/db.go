@@ -53,9 +53,9 @@ type Database struct {
 	// cursors); surfaced as maybms_snapshots_open.
 	snapsOpen atomic.Int64
 
-	// plans is the normalized-plan cache plus the trace-feedback
-	// store; planGen is its invalidation generation, bumped by every
-	// write-classified statement (see plancache.go). planGen is read
+	// plans is the normalized-plan cache; planGen is its invalidation
+	// generation, bumped by every write-classified statement (see
+	// plancache.go). planGen is read
 	// under d.mu (either mode) and bumped only under the exclusive
 	// lock, so a generation captured together with a snapshot is
 	// consistent with that snapshot's state.
@@ -469,4 +469,3 @@ func (d *Database) QueryRel(src string, materialised bool) (*urel.Rel, error) {
 	}
 	return rel, nil
 }
-

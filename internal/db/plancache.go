@@ -12,20 +12,12 @@ package db
 // repair-key / pick-tuples queries, transactions, snapshot loads)
 // invalidates every entry wholesale, so a plan built against a
 // dropped or mutated schema can never be replayed.
-//
-// The cache also keeps the trace-feedback store: when a traced
-// execution finishes, the observed cardinality at the top of each scan
-// leaf pipeline is recorded under the query's fingerprint, keyed by
-// Scan.Ord. The next planning of the same shape feeds those counts to
-// the optimizer (plan.OptOptions.Feedback), replacing the textbook
-// selectivity guesses with measured ones.
 
 import (
 	"container/list"
 	"sync"
 	"sync/atomic"
 
-	"maybms/internal/exec/trace"
 	"maybms/internal/plan"
 	"maybms/internal/sql"
 	"maybms/internal/types"
@@ -41,10 +33,6 @@ type planCache struct {
 	lru     *list.List               // front = most recently used
 	cap     int
 
-	// feedback holds trace-observed cardinalities per fingerprint:
-	// Scan.Ord -> rows out of that scan's leaf pipeline.
-	feedback map[string]map[int]int64
-
 	hits   atomic.Int64
 	misses atomic.Int64
 }
@@ -57,10 +45,9 @@ type cacheEntry struct {
 
 func newPlanCache() *planCache {
 	return &planCache{
-		entries:  map[string]*list.Element{},
-		lru:      list.New(),
-		cap:      planCacheCap,
-		feedback: map[string]map[int]int64{},
+		entries: map[string]*list.Element{},
+		lru:     list.New(),
+		cap:     planCacheCap,
 	}
 }
 
@@ -102,47 +89,6 @@ func (c *planCache) insert(fp string, n plan.Node, gen int64) {
 		el := c.lru.Back()
 		c.lru.Remove(el)
 		delete(c.entries, el.Value.(*cacheEntry).fp)
-	}
-}
-
-// feedbackFor returns the recorded cardinalities for fp (nil when none
-// or when the query did not normalize).
-func (c *planCache) feedbackFor(fp string, ok bool) map[int]int64 {
-	if !ok {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.feedback[fp]
-}
-
-// record stores trace-observed chain cardinalities for fp. When the
-// observations change what the planner would see, the cached plan for
-// fp is dropped so the next execution replans with the measured
-// counts.
-func (c *planCache) record(fp string, obs map[int]int64) {
-	if fp == "" || len(obs) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prev := c.feedback[fp]
-	same := len(prev) == len(obs)
-	if same {
-		for k, v := range obs {
-			if prev[k] != v {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		return
-	}
-	c.feedback[fp] = obs
-	if el, ok := c.entries[fp]; ok {
-		c.lru.Remove(el)
-		delete(c.entries, fp)
 	}
 }
 
@@ -206,25 +152,9 @@ func (d *Database) planQuery(q sql.Query, cat plan.Catalog, est plan.Estimator, 
 	if err != nil {
 		return nil, nil, "", false, err
 	}
-	n = plan.Optimize(n, plan.OptOptions{Est: est, Feedback: d.plans.feedbackFor(fp, ok)})
+	n = plan.Optimize(n, plan.OptOptions{Est: est})
 	if ok && plan.Cacheable(n) {
 		d.plans.insert(fp, n, gen)
 	}
 	return n, args, fp, false, nil
-}
-
-// recordFeedback harvests trace-observed scan-pipeline cardinalities
-// from a completed traced execution of the plan cached under fp.
-func (d *Database) recordFeedback(fp string, n plan.Node, tr *trace.Trace) {
-	if fp == "" || n == nil || tr == nil {
-		return
-	}
-	obs := plan.ObserveChains(n, func(top plan.Node) (int64, bool) {
-		st, ok := tr.Lookup(top)
-		if !ok {
-			return 0, false
-		}
-		return st.RowsOut.Load(), true
-	})
-	d.plans.record(fp, obs)
 }

@@ -3,6 +3,9 @@ package db
 import (
 	"strings"
 	"testing"
+
+	"maybms/internal/plan"
+	"maybms/internal/sql"
 )
 
 func cacheTestDB(t *testing.T) *Database {
@@ -84,8 +87,8 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 
 	invalidators := []string{
-		`create table zz (x int)`,                                     // DDL
-		`insert into t values (9, 9)`,                                 // DML
+		`create table zz (x int)`,     // DDL
+		`insert into t values (9, 9)`, // DML
 		`select k, conf() from (repair key k in w weight by p) r group by k`, // repair-key query
 		`drop table zz`, // DDL again
 	}
@@ -141,5 +144,42 @@ func TestExplainShowsCacheState(t *testing.T) {
 	out = explainText(`explain select x.a from (select t1.a a, t2.b b2 from t t1, t t2 where t1.a = t2.a) x where x.b2 = 1`)
 	if !strings.Contains(out, "pushed") {
 		t.Errorf("EXPLAIN should show the pushed predicate, got:\n%s", out)
+	}
+}
+
+// TestExplainAnalyzeKeepsCachedPlan: EXPLAIN ANALYZE on a cached shape
+// reports a hit and leaves the entry in place, so the next plain
+// execution is a hit on the very same plan.
+func TestExplainAnalyzeKeepsCachedPlan(t *testing.T) {
+	d := cacheTestDB(t)
+	runPlan := func(src string) (string, plan.Node) {
+		t.Helper()
+		stmts, err := sql.ParseAll(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		res, n, err := d.RunStatementTraced(stmts[0], nil)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		return relString(res.Rel), n
+	}
+	const q = `select a from t where b = 1 order by a`
+	runPlan(q)
+	_, cached := runPlan(q)
+
+	out, _ := runPlan(`explain analyze ` + q)
+	if !strings.Contains(out, "plan cache: hit") {
+		t.Errorf("EXPLAIN ANALYZE of a cached shape should report a hit, got:\n%s", out)
+	}
+
+	h0, m0, _ := d.PlanCacheStats()
+	_, after := runPlan(q)
+	h1, m1, _ := d.PlanCacheStats()
+	if h1 != h0+1 || m1 != m0 {
+		t.Errorf("run after EXPLAIN ANALYZE: want a cache hit, got hits %d->%d misses %d->%d", h0, h1, m0, m1)
+	}
+	if after != cached {
+		t.Errorf("run after EXPLAIN ANALYZE used a different plan:\n got: %s\nwant: %s", plan.Explain(after), plan.Explain(cached))
 	}
 }

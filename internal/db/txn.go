@@ -699,8 +699,6 @@ func (t *Txn) planFor(q sql.Query) (plan.Node, []types.Value, string, bool, erro
 	return n, nil, "", false, nil
 }
 
-func (t *Txn) home() *Database { return t.db }
-
 // queryPlanned plans and drains a query against the transaction view.
 func (t *Txn) queryPlanned(q sql.Query, lq *LiveQuery) (*urel.Rel, plan.Node, error) {
 	n, _, _, _, err := t.planFor(q)

@@ -107,16 +107,57 @@ type committedTxn struct {
 // runTxnWorkload drives nSessions concurrent goroutines of seeded
 // transactions against d and returns the committed history (sorted by
 // engine commit sequence) plus the observed conflict count.
+//
+// With more than one session, each session's first transaction is a
+// forced overlap: it updates shared row 0 and then waits at a barrier
+// until every session has done the same, so all their snapshots
+// predate every commit and all but the first committer must conflict.
+// The randomized transactions alone may never overlap two snapshots.
 func runTxnWorkload(t *testing.T, d *Database, nSessions, txnsPerSession int, seed int64) ([]committedTxn, int64) {
 	t.Helper()
 	var mu sync.Mutex
 	var committed []committedTxn
 	var conflicts int64
+	commit := func(sess, n int, txn *Txn, stmts []string) {
+		if err := txn.Commit(); err != nil {
+			if !IsConflict(err) {
+				t.Errorf("session %d txn %d: commit: %v", sess, n, err)
+				return
+			}
+			mu.Lock()
+			conflicts++
+			mu.Unlock()
+			return
+		}
+		if txn.commitSeq == 0 {
+			return // published nothing; replay has nothing to do
+		}
+		mu.Lock()
+		committed = append(committed, committedTxn{seq: txn.commitSeq, stmts: stmts})
+		mu.Unlock()
+	}
+	var overlap sync.WaitGroup
+	if nSessions > 1 {
+		overlap.Add(nSessions)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < nSessions; i++ {
 		wg.Add(1)
 		go func(sess int) {
 			defer wg.Done()
+			if nSessions > 1 {
+				src := fmt.Sprintf(`update shared set v = %d where k = 0`, 1000+sess)
+				txn := d.Begin()
+				err := runTxnSQL(d, txn, src)
+				overlap.Done()
+				overlap.Wait()
+				if err != nil {
+					t.Errorf("session %d overlap txn: %q: %v", sess, src, err)
+					txn.Rollback()
+				} else {
+					commit(sess, -1, txn, []string{src})
+				}
+			}
 			g := &txnGen{r: rand.New(rand.NewSource(seed + int64(sess))), sess: sess}
 			for n := 0; n < txnsPerSession; n++ {
 				stmts := g.txn()
@@ -139,22 +180,7 @@ func runTxnWorkload(t *testing.T, d *Database, nSessions, txnsPerSession int, se
 					txn.Rollback()
 					continue
 				}
-				if err := txn.Commit(); err != nil {
-					if !IsConflict(err) {
-						t.Errorf("session %d txn %d: commit: %v", sess, n, err)
-						continue
-					}
-					mu.Lock()
-					conflicts++
-					mu.Unlock()
-					continue
-				}
-				if txn.commitSeq == 0 {
-					continue // published nothing; replay has nothing to do
-				}
-				mu.Lock()
-				committed = append(committed, committedTxn{seq: txn.commitSeq, stmts: stmts})
-				mu.Unlock()
+				commit(sess, n, txn, stmts)
 			}
 		}(i)
 	}
@@ -216,8 +242,8 @@ func TestTxnCorpusSerialReplay(t *testing.T) {
 				if t.Failed() {
 					t.FailNow()
 				}
-				if sessions > 1 && conflicts == 0 {
-					t.Errorf("%d sessions over 8 shared keys produced no conflicts — validation not exercised", sessions)
+				if sessions > 1 && conflicts < int64(sessions-1) {
+					t.Errorf("%d sessions produced %d conflicts, want at least %d from the forced overlap — validation not exercised", sessions, conflicts, sessions-1)
 				}
 				if sessions == 1 && conflicts != 0 {
 					t.Errorf("a single session cannot conflict with itself, got %d", conflicts)

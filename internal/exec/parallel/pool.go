@@ -24,6 +24,14 @@ import (
 type Task struct {
 	claimed atomic.Bool
 	fn      func()
+	done    func() // completion signal, run after the pool's accounting
+}
+
+// finish signals t's completion.
+func (t *Task) finish() {
+	if t.done != nil {
+		t.done()
+	}
 }
 
 // Pool runs submitted tasks on at most Size concurrent worker
@@ -75,9 +83,13 @@ func (p *Pool) PoolRuns() int64 { return p.ranPool.Load() }
 
 // Submit enqueues fn and returns immediately; fn runs on a pool worker
 // when one frees up, unless the caller claims it first with RunInline
-// or Cancel. Submit never blocks.
-func (p *Pool) Submit(fn func()) *Task {
-	t := &Task{fn: fn}
+// or Cancel. done (may be nil) runs after fn, and after the pool has
+// stopped counting the task as busy, so whoever waits on done sees
+// Busy and PoolRuns already settled. A task taken with ClaimInline or
+// Cancel never calls done; its claimer signals completion itself.
+// Submit never blocks.
+func (p *Pool) Submit(fn, done func()) *Task {
+	t := &Task{fn: fn, done: done}
 	p.queued.Add(1)
 	p.mu.Lock()
 	p.queue = append(p.queue, t)
@@ -132,18 +144,21 @@ func (p *Pool) worker() {
 		t.fn()
 		p.ranPool.Add(1)
 		p.busy.Add(-1)
+		t.finish()
 	}
 }
 
-// RunInline claims t if no pool worker has started it and runs it on
-// the calling goroutine, reporting whether it ran. This is how a
-// consumer blocked on a queued fragment guarantees its own progress —
-// and why the pool can never deadlock, whatever its size.
+// RunInline claims t if no pool worker has started it and runs it —
+// fn, then done — on the calling goroutine, reporting whether it ran.
+// This is how a consumer blocked on a queued fragment guarantees its
+// own progress — and why the pool can never deadlock, whatever its
+// size.
 func (p *Pool) RunInline(t *Task) bool {
 	if !p.ClaimInline(t) {
 		return false
 	}
 	t.fn()
+	t.finish()
 	return true
 }
 
@@ -193,10 +208,7 @@ func Run(pool *Pool, n int, job func(i int) error) error {
 	tasks := make([]*Task, n)
 	for i := 0; i < n; i++ {
 		i := i
-		tasks[i] = pool.Submit(func() {
-			defer wg.Done()
-			errs[i] = job(i)
-		})
+		tasks[i] = pool.Submit(func() { errs[i] = job(i) }, wg.Done)
 	}
 	// Whatever the pool has not started yet, run here: the barrier
 	// must not wait on a queue position.

@@ -19,7 +19,6 @@ func TestPoolCapsConcurrency(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		wg.Add(1)
 		p.Submit(func() {
-			defer wg.Done()
 			c := cur.Add(1)
 			for {
 				m := max.Load()
@@ -29,7 +28,7 @@ func TestPoolCapsConcurrency(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 			cur.Add(-1)
-		})
+		}, wg.Done)
 	}
 	wg.Wait()
 	if m := max.Load(); m > cap {
@@ -47,6 +46,9 @@ func TestPoolCapsConcurrency(t *testing.T) {
 	if b := p.Busy(); b != 0 {
 		t.Fatalf("Busy = %d after drain, want 0", b)
 	}
+	if n := p.PoolRuns() + p.InlineRuns(); n != 50 {
+		t.Fatalf("PoolRuns+InlineRuns = %d after drain, want 50", n)
+	}
 }
 
 // A consumer can claim a queued task and run it inline; the pool then
@@ -56,9 +58,9 @@ func TestPoolRunInlineAndCancel(t *testing.T) {
 	block := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	p.Submit(func() { defer wg.Done(); <-block }) // occupies the only worker
+	p.Submit(func() { <-block }, wg.Done) // occupies the only worker
 	ran := false
-	tsk := p.Submit(func() { ran = true })
+	tsk := p.Submit(func() { ran = true }, nil)
 	if !p.RunInline(tsk) {
 		t.Fatal("RunInline refused a queued task")
 	}
@@ -68,7 +70,7 @@ func TestPoolRunInlineAndCancel(t *testing.T) {
 	if p.RunInline(tsk) || p.Cancel(tsk) {
 		t.Fatal("a claimed task was claimed twice")
 	}
-	cancelled := p.Submit(func() { t.Error("cancelled task ran") })
+	cancelled := p.Submit(func() { t.Error("cancelled task ran") }, nil)
 	if !p.Cancel(cancelled) {
 		t.Fatal("Cancel refused a queued task")
 	}
@@ -88,7 +90,7 @@ func TestPoolRunUnderSaturation(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
-		p.Submit(func() { defer wg.Done(); <-block })
+		p.Submit(func() { <-block }, wg.Done)
 	}
 	var ran atomic.Int64
 	done := make(chan error, 1)

@@ -248,7 +248,8 @@ func fmtDur(d time.Duration) string {
 }
 
 // OpSnap is a JSON-friendly snapshot of one operator's stats, nested
-// in plan order — what cmd/bench -trace emits.
+// in plan order — what /v1/queries serves for live queries and the
+// benchmark's traced pass writes per workload.
 type OpSnap struct {
 	Op         string           `json:"op"`
 	Rows       int64            `json:"rows"`

@@ -1,7 +1,12 @@
-// Package experiments implements the evaluation harness: one runner
-// per experiment in DESIGN.md (E1–E8), each regenerating the
-// corresponding table of EXPERIMENTS.md. cmd/bench prints them; the
-// root bench_test.go wraps the same code in testing.B benchmarks.
+// Package experiments regenerates the paper-shaped evaluation tables
+// E1–E8: the Figure 1 random walk (E1), exact vs approximate
+// confidence (E2), SPROUT on a hierarchical query (E3), U-relational
+// translation overhead (E4), esum vs conf (E5), uncertainty
+// introduction (E6), the (ε,δ) guarantee of aconf (E7) and an ablation
+// of the exact solver (E8). cmd/bench prints them; the root
+// bench_test.go wraps the same code paths in testing.B benchmarks.
+// System performance is measured end to end by benchmark/run.sh, not
+// here.
 package experiments
 
 import (

@@ -50,11 +50,6 @@ type OptOptions struct {
 	// Est supplies table row counts; without it, join reordering and
 	// build-side selection are skipped (pushdown still runs).
 	Est Estimator
-	// Feedback maps Scan.Ord to the row count observed at the top of
-	// that scan's leaf pipeline in a previous traced execution of the
-	// same normalized query — the trace-fed cardinalities the ROADMAP
-	// planner item calls for. Overrides the heuristic estimate.
-	Feedback map[int]int64
 }
 
 // Optimize rewrites a freshly built plan. It mutates the tree in place
@@ -622,7 +617,7 @@ func (o *optimizer) reorderRegion(root Node) Node {
 
 	ests := make([]int64, len(leaves))
 	for i := range leaves {
-		ests[i] = o.chainEst(leaves[i].node)
+		ests[i] = o.est(leaves[i].node)
 	}
 
 	perm := greedyOrder(leaves, edges, ests)
@@ -850,8 +845,8 @@ func (o *optimizer) stamp(n Node) {
 		}
 	case *HashJoin:
 		if o.opts.Est != nil && t.LEst == 0 && t.REst == 0 {
-			t.LEst = o.chainEst(t.L)
-			t.REst = o.chainEst(t.R)
+			t.LEst = o.est(t.L)
+			t.REst = o.est(t.R)
 			t.BuildLeft = t.LEst > 0 && t.REst > 0 && t.LEst < t.REst
 		}
 	}
@@ -873,69 +868,6 @@ func (o *optimizer) tableRows(name string) int64 {
 	}
 	o.tblRows[name] = v
 	return v
-}
-
-// chainEst estimates the rows flowing out of a node, preferring a
-// trace-observed cardinality when the node is the top of a scan
-// pipeline the feedback store has seen.
-func (o *optimizer) chainEst(n Node) int64 {
-	if ord, ok := chainScanOrd(n); ok {
-		if v, ok := o.opts.Feedback[ord]; ok && v > 0 {
-			return v
-		}
-	}
-	return o.est(n)
-}
-
-// ObserveChains extracts trace-fed cardinalities from an executed
-// plan: for every scan leaf pipeline (a maximal Filter/Rename/Number
-// chain over a Scan), rows(top) is asked for the observed row count at
-// the chain's top node, and the result is keyed by the underlying
-// Scan.Ord — exactly the map OptOptions.Feedback consumes when the
-// same normalized query is planned again.
-func ObserveChains(root Node, rows func(Node) (int64, bool)) map[int]int64 {
-	out := map[int]int64{}
-	var walk func(n Node, inChain bool)
-	walk = func(n Node, inChain bool) {
-		if !inChain {
-			if ord, ok := chainScanOrd(n); ok {
-				if v, vok := rows(n); vok {
-					out[ord] = v
-				}
-				inChain = true
-			}
-		}
-		switch n.(type) {
-		case *Filter, *Rename, *Number:
-			// Children stay inside the current chain (if any).
-		default:
-			inChain = false
-		}
-		for _, c := range Children(n) {
-			walk(c, inChain)
-		}
-	}
-	walk(root, false)
-	return out
-}
-
-// chainScanOrd finds the Scan at the bottom of a Filter/Rename/Number
-// pipeline.
-func chainScanOrd(n Node) (int, bool) {
-	for {
-		switch t := n.(type) {
-		case *Scan:
-			return t.Ord, true
-		case *Filter:
-			n = t.In
-		case *Rename:
-			n = t.In
-		case *Number:
-			n = t.In
-		default:
-			return 0, false
-		}
-	}
 }
 
 // est is the heuristic cardinality model: table length at the leaves,

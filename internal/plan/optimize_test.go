@@ -177,28 +177,6 @@ func TestStampEstimates(t *testing.T) {
 	}
 }
 
-// TestFeedbackOverridesHeuristics: a trace-observed cardinality beats
-// the heuristic estimate for the same scan chain.
-func TestFeedbackOverridesHeuristics(t *testing.T) {
-	cat := joinCatalog()
-	est := testEst{"big": 100000, "mid": 1000, "small": 10, "r": 100, "s": 100, "u": 100}
-	n := buildOn(t, cat, `select count(*) c0 from mid m, big b where b.id = m.id and b.x = 7`)
-	n = Optimize(n, OptOptions{Est: est})
-	// Heuristic: big shrinks to 100000/10 = 10000 > mid's 1000 → right
-	// build. Feedback saying the filtered big chain is actually 5 rows
-	// must flip the estimates.
-	obs := ObserveChains(n, func(top Node) (int64, bool) { return 5, true })
-	// Scan ordinals are deterministic per query shape: rebuild and
-	// re-optimize with the observation in place.
-	n2 := buildOn(t, cat, `select count(*) c0 from mid m, big b where b.id = m.id and b.x = 7`)
-	var fb map[int]int64 = obs
-	n2 = Optimize(n2, OptOptions{Est: est, Feedback: fb})
-	out := Explain(n2)
-	if !strings.Contains(out, "rest=5") {
-		t.Errorf("feedback cardinality should replace the heuristic, got:\n%s", out)
-	}
-}
-
 // TestCacheable: plans with memoising subquery state must not be
 // cached; plain pipelines and repair-key roots classify correctly.
 func TestCacheable(t *testing.T) {

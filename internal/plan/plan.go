@@ -24,10 +24,6 @@ type Scan struct {
 	Alias   string
 	sch     *schema.Schema
 	certain bool
-	// Ord is the scan's ordinal in builder traversal order, used by the
-	// optimizer to key trace-observed cardinalities back onto the plan
-	// shape (the traversal is deterministic per query shape).
-	Ord int
 	// EstRows is the optimizer's row estimate for this scan after local
 	// filters, or 0 when no estimate was computed.
 	EstRows int64
@@ -287,10 +283,6 @@ func Build(q sql.Query, cat Catalog) (Node, error) {
 
 type builder struct {
 	cat Catalog
-	// scanOrd numbers scans in traversal order; the traversal is
-	// deterministic, so the same query shape always yields the same
-	// numbering — the property the trace-feedback store relies on.
-	scanOrd int
 }
 
 func (b *builder) query(q sql.Query) (Node, error) {
@@ -415,9 +407,7 @@ func (b *builder) fromItem(fi sql.FromItem) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	ord := b.scanOrd
-	b.scanOrd++
-	return &Scan{Table: fi.Table, Alias: fi.Alias, sch: sch.WithRel(fi.Alias), certain: certain, Ord: ord}, nil
+	return &Scan{Table: fi.Table, Alias: fi.Alias, sch: sch.WithRel(fi.Alias), certain: certain}, nil
 }
 
 // splitConjuncts flattens nested ANDs.

@@ -38,7 +38,7 @@ func traceID(r *http.Request) string {
 // newTrace returns a Trace carrying the request's id. Every statement
 // now executes traced: the live-query registry serves per-operator
 // progress snapshots from it, and the overhead is two atomic adds per
-// operator batch (pinned by the BENCH_live overhead budget).
+// operator batch (measured as trace.overhead_pct by benchmark/run.sh).
 func (s *Server) newTrace(tid string) *trace.Trace {
 	return &trace.Trace{ID: tid}
 }

@@ -6,12 +6,12 @@ import (
 )
 
 // Engine is the pluggable row store behind a Table. A Table is a thin
-// facade — schema type checking and hash-index maintenance — over an
-// Engine that owns the rows themselves: stable row ids, tombstones,
-// batched scans, and MVCC snapshots. Two implementations exist: Heap
-// (the original in-memory copy-on-write store) and disk.Engine (a
-// WAL-durable backend that mirrors the heap in memory and logs every
-// mutation for crash recovery).
+// facade — schema type checking — over an Engine that owns the rows
+// themselves: stable row ids, tombstones, batched scans, and MVCC
+// snapshots. Two implementations exist: Heap (the original in-memory
+// copy-on-write store) and disk.Engine (a WAL-durable backend that
+// mirrors the heap in memory and logs every mutation for crash
+// recovery).
 //
 // Engines are single-writer: every mutating call happens under the
 // database's exclusive lock. Snapshot may be called under the shared
@@ -29,8 +29,8 @@ type Engine interface {
 	// range).
 	Get(id RowID) (urel.Tuple, bool)
 	// MarkDead sets a row's tombstone flag to dead, returning the
-	// tuple so the caller can maintain indexes and undo logs. It is an
-	// error to kill a dead row or resurrect a live one.
+	// tuple so the caller can maintain undo logs. It is an error to
+	// kill a dead row or resurrect a live one.
 	MarkDead(id RowID, dead bool) (urel.Tuple, error)
 	// Replace overwrites a live row in place, returning the previous
 	// tuple.
