@@ -87,9 +87,8 @@ func BenchmarkE2ExactVsApprox(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("aconf/ratio=%g", ratio), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {
-				if _, err := approx.Conf(dnfs[i%len(dnfs)], store, 0.1, 0.1, rng); err != nil {
+				if _, err := approx.ConfSeeded(dnfs[i%len(dnfs)], store, 0.1, 0.1, int64(i), 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -136,9 +135,8 @@ func BenchmarkE3Sprout(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("aconf/width=%d", width), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {
-				if _, err := approx.Conf(d, store, 0.1, 0.1, rng); err != nil {
+				if _, err := approx.ConfSeeded(d, store, 0.1, 0.1, int64(i), 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -244,7 +242,7 @@ func BenchmarkE7AconfAccuracy(b *testing.B) {
 	for _, eps := range []float64{0.2, 0.1, 0.05} {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := approx.Conf(d, store, eps, 0.05, rng); err != nil {
+				if _, err := approx.ConfSeeded(d, store, eps, 0.05, int64(i), 1); err != nil {
 					b.Fatal(err)
 				}
 			}

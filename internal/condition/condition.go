@@ -17,6 +17,7 @@ package condition
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"maybms/internal/conf/exact"
 	"maybms/internal/lineage"
@@ -24,28 +25,29 @@ import (
 	"maybms/internal/wstree"
 )
 
-// Conditioned is a world-set store conditioned on evidence.
+// Conditioned is a world-set store conditioned on evidence. It is safe
+// for concurrent use: every Prob runs its own solver, and the sampling
+// tree is built once.
 type Conditioned struct {
 	src      ws.ProbSource
 	evidence lineage.DNF
 	pB       float64
-	solver   *exact.Solver
-	tree     *wstree.Node // lazily built for sampling
+	treeOnce sync.Once
+	tree     *wstree.Node // built on first Sample
 }
 
 // New conditions the store on the evidence event. It fails when the
 // evidence has probability zero (conditioning on the impossible).
 func New(src ws.ProbSource, evidence lineage.DNF) (*Conditioned, error) {
 	evidence = evidence.Simplify()
-	solver := exact.NewSolver(src)
 	pB := 1.0
 	if !evidence.HasEmptyClause() {
-		pB = solver.Prob(evidence)
+		pB = exact.Prob(evidence, src)
 	}
 	if pB <= 0 {
 		return nil, fmt.Errorf("condition: evidence has probability zero")
 	}
-	return &Conditioned{src: src, evidence: evidence, pB: pB, solver: solver}, nil
+	return &Conditioned{src: src, evidence: evidence, pB: pB}, nil
 }
 
 // EvidenceProb returns P(B), the prior probability of the evidence.
@@ -66,7 +68,7 @@ func (c *Conditioned) Prob(a lineage.DNF) float64 {
 	default:
 		joint = a.AndDNF(c.evidence).Simplify()
 	}
-	return c.solver.Prob(joint) / c.pB
+	return exact.Prob(joint, c.src) / c.pB
 }
 
 // CondProb returns the posterior probability of a single conjunctive
@@ -99,9 +101,7 @@ func (c *Conditioned) Sample(rng *rand.Rand) map[ws.VarID]int {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	if c.tree == nil {
-		c.tree = wstree.Build(c.evidence, c.src)
-	}
+	c.treeOnce.Do(func() { c.tree = wstree.Build(c.evidence, c.src) })
 	out := map[ws.VarID]int{}
 	if c.evidence.HasEmptyClause() || len(c.evidence) == 0 {
 		return out // trivial evidence constrains nothing

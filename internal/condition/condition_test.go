@@ -1,8 +1,10 @@
 package condition
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"maybms/internal/lineage"
@@ -206,5 +208,62 @@ func TestSampleMatchesPosterior(t *testing.T) {
 	cTriv, _ := New(store, lineage.DNF{lineage.TrueCond()})
 	if w := cTriv.Sample(rng); len(w) != 0 {
 		t.Errorf("trivial evidence: %v", w)
+	}
+}
+
+// TestConcurrentProbAndSample: a Conditioned serves posterior queries
+// from many goroutines at once (the public Posterior shares one across
+// a database documented as safe for concurrent use). Run under -race.
+func TestConcurrentProbAndSample(t *testing.T) {
+	store := ws.NewStore()
+	x, _ := store.NewBoolVar(0.5)
+	y, _ := store.NewBoolVar(0.5)
+	z, _ := store.NewBoolVar(0.5)
+	evidence := lineage.DNF{mkCond(t, lit(x, 1)), mkCond(t, lit(y, 1), lit(z, 1))}
+	c, err := New(store, evidence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []lineage.DNF{
+		{mkCond(t, lit(x, 1))},
+		{mkCond(t, lit(y, 1))},
+		{mkCond(t, lit(x, 1), lit(z, 1))},
+		{mkCond(t, lit(y, 1)), mkCond(t, lit(z, 1))},
+	}
+	want := make([]float64, len(queries))
+	for i, q := range queries {
+		want[i] = c.Prob(q)
+	}
+	c, _ = New(store, evidence) // fresh: the goroutines race on first use
+	var wg sync.WaitGroup
+	errs := make(chan string, 8*len(queries))
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				for i, q := range queries {
+					if got := c.Prob(q); got != want[i] {
+						errs <- fmt.Sprintf("query %d: %v want %v", i, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for r := 0; r < 50; r++ {
+				if w := c.Sample(rng); w[x] != 1 && (w[y] != 1 || w[z] != 1) {
+					errs <- fmt.Sprintf("sampled a world violating the evidence: %v", w)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

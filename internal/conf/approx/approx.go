@@ -2,13 +2,12 @@
 // unbiased estimator for DNF probability, adapted to conditions over
 // finite independent random variables, driven by the
 // Dagum-Karp-Luby-Ross "optimal algorithm for Monte Carlo estimation"
-// (SICOMP 29(5), 2000). The AA algorithm uses sequential analysis to
-// determine how many Karp-Luby trials achieve the requested
-// (ε,δ)-guarantee: P(|p̂ − p| > ε·p) < δ.
+// (SICOMP 29(5), 2000). The AA algorithm (ConfSeeded, parallel.go)
+// uses sequential analysis to determine how many Karp-Luby trials
+// achieve the requested (ε,δ)-guarantee: P(|p̂ − p| > ε·p) < δ.
 package approx
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 
@@ -23,9 +22,8 @@ type Estimator struct {
 	d     lineage.DNF
 	src   ws.ProbSource
 	rng   *rand.Rand
-	S     float64   // sum of clause probabilities
-	cum   []float64 // cumulative clause probabilities for sampling
-	vars  []ws.VarID
+	S     float64          // sum of clause probabilities
+	cum   []float64        // cumulative clause probabilities for sampling
 	trial map[ws.VarID]int // scratch assignment
 
 	// cancel, when non-nil, is polled between trial blocks (every
@@ -34,7 +32,7 @@ type Estimator struct {
 	// cancellation error once the query is killed.
 	cancel func() error
 
-	// Trials counts Karp-Luby invocations, for the experiments.
+	// Trials counts Karp-Luby invocations.
 	Trials int
 }
 
@@ -57,8 +55,17 @@ func NewEstimator(d lineage.DNF, src ws.ProbSource, rng *rand.Rand) *Estimator {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
+	e := newTables(d, src)
+	e.rng = rng
+	e.trial = map[ws.VarID]int{}
+	return e
+}
+
+// newTables builds an estimator's immutable tables without an RNG: the
+// base of a strand-partitioned run, which only forks draw from.
+func newTables(d lineage.DNF, src ws.ProbSource) *Estimator {
 	d = d.Simplify()
-	e := &Estimator{d: d, src: src, rng: rng, vars: d.Vars(), trial: map[ws.VarID]int{}}
+	e := &Estimator{d: d, src: src}
 	e.cum = make([]float64, len(d))
 	s := 0.0
 	for i, c := range d {
@@ -159,124 +166,4 @@ func (e *Estimator) Estimate(n int) float64 {
 type SampleStats struct {
 	Trials int64
 	RelErr float64
-}
-
-// Conf computes an (ε,δ)-approximation of P(d) using the AA algorithm:
-// the returned p̂ deviates from p by more than ε·p with probability
-// less than δ.
-func Conf(d lineage.DNF, src ws.ProbSource, eps, delta float64, rng *rand.Rand) (float64, error) {
-	p, _, err := ConfStats(d, src, eps, delta, rng, nil)
-	return p, err
-}
-
-// ConfStats is Conf reporting its sampling effort alongside the
-// estimate. cancel, when non-nil, is polled between trial blocks and
-// aborts estimation with its error (cooperative query cancellation).
-func ConfStats(d lineage.DNF, src ws.ProbSource, eps, delta float64, rng *rand.Rand, cancel func() error) (float64, SampleStats, error) {
-	if err := checkEpsDelta(eps, delta); err != nil {
-		return 0, SampleStats{}, err
-	}
-	d = d.Simplify()
-	if len(d) == 0 {
-		return 0, SampleStats{}, nil
-	}
-	if d.HasEmptyClause() {
-		return 1, SampleStats{}, nil
-	}
-	e := NewEstimator(d, src, rng)
-	e.cancel = cancel
-	if e.S == 0 {
-		return 0, SampleStats{}, nil
-	}
-	mean, st, err := e.aa(eps, delta)
-	if err != nil {
-		return 0, SampleStats{}, err
-	}
-	return e.S * mean, st, nil
-}
-
-// AA is the Dagum-Karp-Luby-Ross approximation algorithm AA estimating
-// the mean μ of the Bernoulli trial stream in three steps: a stopping
-// rule for a rough estimate, a variance estimate, and a final run
-// sized by max(variance, ε·μ̂).
-func (e *Estimator) AA(eps, delta float64) float64 {
-	mean, _, _ := e.aa(eps, delta)
-	return mean
-}
-
-// aa runs AA and reports the sampling effort. It aborts with the
-// cancellation error when the estimator's cancel hook fires.
-func (e *Estimator) aa(eps, delta float64) (float64, SampleStats, error) {
-	const lambda = math.E - 2 // λ from the DKLR paper
-	// Clamp ε to the Bernoulli regime: relative error below machine
-	// noise would demand absurd trial counts.
-	ups := 4 * lambda * math.Log(2/delta) / (eps * eps)
-
-	// Step 1: stopping-rule algorithm with Υ₁ = 1+(1+ε)Υ.
-	ups1 := 1 + (1+eps)*ups
-	sum := 0.0
-	n := 0
-	for sum < ups1 {
-		if n%cancelInterval == 0 {
-			if err := e.checkCancel(); err != nil {
-				return 0, SampleStats{}, err
-			}
-		}
-		if e.Sample() {
-			sum++
-		}
-		n++
-	}
-	muHat := ups1 / float64(n)
-
-	// Step 2: estimate the variance ρ̂ = max(S/N, ε·μ̂) from N trial
-	// pairs, N = Υ₂·ε/μ̂ with Υ₂ = 2(1+√ε)(1+2√ε)(1+ln(3/2)/ln(2/δ))Υ.
-	ups2 := 2 * (1 + math.Sqrt(eps)) * (1 + 2*math.Sqrt(eps)) *
-		(1 + math.Log(1.5)/math.Log(2/delta)) * ups
-	nPairs := int(math.Ceil(ups2 * eps / muHat))
-	if nPairs < 1 {
-		nPairs = 1
-	}
-	s2 := 0.0
-	for i := 0; i < nPairs; i++ {
-		if i%(cancelInterval/2) == 0 {
-			if err := e.checkCancel(); err != nil {
-				return 0, SampleStats{}, err
-			}
-		}
-		a, b := 0.0, 0.0
-		if e.Sample() {
-			a = 1
-		}
-		if e.Sample() {
-			b = 1
-		}
-		s2 += (a - b) * (a - b) / 2
-	}
-	rhoHat := s2 / float64(nPairs)
-	if eMu := eps * muHat; rhoHat < eMu {
-		rhoHat = eMu
-	}
-
-	// Step 3: final estimate with N = Υ₂·ρ̂/μ̂².
-	nFinal := int(math.Ceil(ups2 * rhoHat / (muHat * muHat)))
-	if nFinal < 1 {
-		nFinal = 1
-	}
-	succ := 0
-	for i := 0; i < nFinal; i++ {
-		if i%cancelInterval == 0 {
-			if err := e.checkCancel(); err != nil {
-				return 0, SampleStats{}, err
-			}
-		}
-		if e.Sample() {
-			succ++
-		}
-	}
-	st := SampleStats{
-		Trials: int64(n + 2*nPairs + nFinal),
-		RelErr: math.Sqrt(rhoHat/float64(nFinal)) / muHat,
-	}
-	return float64(succ) / float64(nFinal), st, nil
 }

@@ -60,17 +60,17 @@ func TestEstimatorUnbiasedAcrossSeeds(t *testing.T) {
 
 func TestConfTautologyAndContradiction(t *testing.T) {
 	store := ws.NewStore()
-	if p, err := Conf(nil, store, 0.1, 0.1, nil); err != nil || p != 0 {
+	if p, err := ConfSeeded(nil, store, 0.1, 0.1, 1, 1); err != nil || p != 0 {
 		t.Errorf("empty: %v %v", p, err)
 	}
 	d := lineage.DNF{lineage.TrueCond()}
-	if p, err := Conf(d, store, 0.1, 0.1, nil); err != nil || p != 1 {
+	if p, err := ConfSeeded(d, store, 0.1, 0.1, 1, 1); err != nil || p != 1 {
 		t.Errorf("true: %v %v", p, err)
 	}
 	// All-zero-probability clauses: S = 0.
 	x, _ := store.NewVar([]float64{0, 1})
 	c, _ := lineage.NewCond(lineage.Lit{Var: x, Val: 1})
-	if p, err := Conf(lineage.DNF{c}, store, 0.1, 0.1, nil); err != nil || p != 0 {
+	if p, err := ConfSeeded(lineage.DNF{c}, store, 0.1, 0.1, 1, 1); err != nil || p != 0 {
 		t.Errorf("zero-prob: %v %v", p, err)
 	}
 }
@@ -78,33 +78,45 @@ func TestConfTautologyAndContradiction(t *testing.T) {
 func TestConfParamValidation(t *testing.T) {
 	d, store, _ := fixtureDNF(t)
 	for _, bad := range [][2]float64{{0, 0.1}, {1, 0.1}, {-0.5, 0.1}, {0.1, 0}, {0.1, 1}, {0.1, 2}} {
-		if _, err := Conf(d, store, bad[0], bad[1], nil); err == nil {
+		if _, err := ConfSeeded(d, store, bad[0], bad[1], 1, 1); err == nil {
 			t.Errorf("eps=%v delta=%v should fail", bad[0], bad[1])
 		}
 	}
 }
 
-func TestConfDeterministicWithNilRng(t *testing.T) {
+// TestConfSeededStatsDeterministic: the reported sampling effort, like
+// the estimate, is a pure function of the seed — the worker count
+// cannot change it.
+func TestConfSeededStatsDeterministic(t *testing.T) {
 	d, store, _ := fixtureDNF(t)
-	a, _ := Conf(d, store, 0.1, 0.1, nil)
-	b, _ := Conf(d, store, 0.1, 0.1, nil)
-	if a != b {
-		t.Error("nil rng must give deterministic results")
+	p1, st1, err := ConfSeededStats(d, store, 0.1, 0.1, 5, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p4, st4, err := ConfSeededStats(d, store, 0.1, 0.1, 5, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(p1) != math.Float64bits(p4) || st1 != st4 {
+		t.Errorf("seed 5: workers=1 gave %v %+v, workers=4 gave %v %+v", p1, st1, p4, st4)
 	}
 }
 
 func TestAATrialsGrowWithPrecision(t *testing.T) {
 	d, store, _ := fixtureDNF(t)
-	rng := rand.New(rand.NewSource(4))
-	eLoose := NewEstimator(d, store, rng)
-	eLoose.AA(0.2, 0.1)
-	eTight := NewEstimator(d, store, rng)
-	eTight.AA(0.05, 0.1)
-	if eTight.Trials <= eLoose.Trials {
-		t.Errorf("tight eps must need more trials: %d vs %d", eTight.Trials, eLoose.Trials)
+	_, loose, err := ConfSeededStats(d, store, 0.2, 0.1, 4, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tight, err := ConfSeededStats(d, store, 0.05, 0.1, 4, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tight.Trials <= loose.Trials {
+		t.Errorf("tight eps must need more trials: %d vs %d", tight.Trials, loose.Trials)
 	}
 	// 1/eps² scaling: 16x eps ratio² within a factor of ~4.
-	ratio := float64(eTight.Trials) / float64(eLoose.Trials)
+	ratio := float64(tight.Trials) / float64(loose.Trials)
 	if ratio < 4 || ratio > 64 {
 		t.Errorf("trial scaling ratio %v outside [4,64]", ratio)
 	}

@@ -50,11 +50,11 @@ func strandRngs(seed int64, step int) []*rand.Rand {
 }
 
 // fork returns an estimator sharing this one's immutable tables (DNF,
-// clause cumulative probabilities, variable list) with its own RNG and
+// clause cumulative probabilities) with its own RNG and
 // scratch assignment, so strands sample concurrently without sharing
 // mutable state.
 func (e *Estimator) fork(rng *rand.Rand) *Estimator {
-	return &Estimator{d: e.d, src: e.src, rng: rng, S: e.S, cum: e.cum, vars: e.vars, trial: map[ws.VarID]int{}, cancel: e.cancel}
+	return &Estimator{d: e.d, src: e.src, rng: rng, S: e.S, cum: e.cum, trial: map[ws.VarID]int{}, cancel: e.cancel}
 }
 
 // forEachStrand runs fn(s) once per strand on up to workers
@@ -102,8 +102,9 @@ func fillOutcomes(es []*Estimator, out []bool, workers int) {
 	})
 }
 
-// ConfSeeded computes an (ε,δ)-approximation of P(d) — the same DKLR
-// AA algorithm as Conf — over the strand-partitioned trial schedule.
+// ConfSeeded computes an (ε,δ)-approximation of P(d) with the DKLR AA
+// algorithm over the strand-partitioned trial schedule: the returned p̂
+// deviates from p by more than ε·p with probability less than δ.
 // The result is a deterministic function of (d, src, eps, delta,
 // seed); workers only sets how many goroutines evaluate the schedule.
 func ConfSeeded(d lineage.DNF, src ws.ProbSource, eps, delta float64, seed int64, workers int) (float64, error) {
@@ -128,7 +129,7 @@ func ConfSeededStats(d lineage.DNF, src ws.ProbSource, eps, delta float64, seed 
 	if d.HasEmptyClause() {
 		return 1, SampleStats{}, nil
 	}
-	base := NewEstimator(d, src, rand.New(rand.NewSource(seed)))
+	base := newTables(d, src)
 	base.cancel = cancel
 	if base.S == 0 {
 		return 0, SampleStats{}, nil
@@ -141,8 +142,9 @@ func ConfSeededStats(d lineage.DNF, src ws.ProbSource, eps, delta float64, seed 
 }
 
 // aaStranded is the DKLR AA algorithm over strand-partitioned trials:
-// the same three steps as AA, with each step's trials drawn from fresh
-// per-strand RNGs and evaluated by up to `workers` goroutines. It
+// a stopping rule for a rough estimate, a variance estimate, and a
+// final run sized by max(variance, ε·μ̂), each step's trials drawn from
+// fresh per-strand RNGs and evaluated by up to `workers` goroutines. It
 // reports the sampling effort alongside the mean, and aborts with the
 // cancellation error when the estimator's cancel hook fires.
 func (e *Estimator) aaStranded(eps, delta float64, seed int64, workers int) (float64, SampleStats, error) {

@@ -1,6 +1,11 @@
+// Package conf holds no code of its own: conf() is exact.Prob (the
+// Koch-Olteanu d-tree solver) and aconf(ε,δ) is approx.ConfSeededStats.
+// These tests cross-check the algorithms of its subpackages against
+// each other and against possible-world enumeration.
 package conf
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -89,7 +94,9 @@ func TestExactHeuristicsAgree(t *testing.T) {
 }
 
 // TestSproutMatchesNaive: whenever SPROUT claims a read-once
-// factorisation, its result is exact.
+// factorisation, its result is exact — and bit-identical to the d-tree
+// solver's, which takes SPROUT's steps in SPROUT's order on read-once
+// lineage. That identity is why conf() needs no SPROUT pre-pass.
 func TestSproutMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	claimed := 0
@@ -104,6 +111,9 @@ func TestSproutMatchesNaive(t *testing.T) {
 		want := naive.Prob(d, store)
 		if math.Abs(p-want) > 1e-9 {
 			t.Fatalf("trial %d: sprout=%v naive=%v dnf=%v", trial, p, want, d)
+		}
+		if ex := exact.Prob(d, store); math.Float64bits(ex) != math.Float64bits(p) {
+			t.Fatalf("trial %d: sprout=%v exact=%v differ in bits, dnf=%v", trial, p, ex, d)
 		}
 	}
 	if claimed == 0 {
@@ -132,8 +142,8 @@ func TestSproutHandlesReadOnce(t *testing.T) {
 }
 
 // TestSproutRejectsNonHierarchical: the classic non-read-once lineage
-// xy ∨ yz ∨ zx has no 1OF and must be rejected (then Auto must still
-// answer correctly through the fallback).
+// xy ∨ yz ∨ zx has no 1OF and must be rejected (then conf() must still
+// answer correctly through the d-tree solver).
 func TestSproutRejectsNonHierarchical(t *testing.T) {
 	store := ws.NewStore()
 	x, _ := store.NewBoolVar(0.5)
@@ -147,13 +157,10 @@ func TestSproutRejectsNonHierarchical(t *testing.T) {
 	if _, ok := sprout.Prob(d, store); ok {
 		t.Fatal("xy ∨ yz ∨ zx must not be claimed read-once")
 	}
-	p, err := Compute(d, store, Request{Method: Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := exact.Prob(d, store)
 	want := naive.Prob(d, store)
 	if math.Abs(p-want) > 1e-12 {
-		t.Errorf("auto fallback: %v want %v", p, want)
+		t.Errorf("d-tree: %v want %v", p, want)
 	}
 }
 
@@ -170,7 +177,7 @@ func TestApproxWithinEps(t *testing.T) {
 		if want == 0 {
 			continue
 		}
-		got, err := approx.Conf(d, store, 0.1, 0.05, rng)
+		got, err := approx.ConfSeeded(d, store, 0.1, 0.05, int64(trial), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,29 +196,35 @@ func TestApproxValidation(t *testing.T) {
 	x, _ := store.NewBoolVar(0.5)
 	c, _ := lineage.NewCond(lineage.Lit{Var: x, Val: 1})
 	d := lineage.DNF{c}
-	if _, err := approx.Conf(d, store, 0, 0.1, nil); err == nil {
+	if _, err := approx.ConfSeeded(d, store, 0, 0.1, 1, 1); err == nil {
 		t.Error("eps=0 must fail")
 	}
-	if _, err := approx.Conf(d, store, 0.1, 1, nil); err == nil {
+	if _, err := approx.ConfSeeded(d, store, 0.1, 1, 1, 1); err == nil {
 		t.Error("delta=1 must fail")
 	}
 }
 
 func TestEdgeCases(t *testing.T) {
 	store := ws.NewStore()
-	// Empty DNF is FALSE.
-	for _, m := range []Method{Auto, Exact, Sprout, Approximate} {
-		p, err := Compute(nil, store, Request{Method: m, Eps: 0.1, Delta: 0.1})
-		if err != nil || p != 0 {
-			t.Errorf("method %v empty DNF: %v %v", m, p, err)
-		}
+	methods := map[string]func(lineage.DNF) (float64, error){
+		"exact": func(d lineage.DNF) (float64, error) { return exact.Prob(d, store), nil },
+		"sprout": func(d lineage.DNF) (float64, error) {
+			p, ok := sprout.Prob(d, store)
+			if !ok {
+				return 0, errors.New("not read-once")
+			}
+			return p, nil
+		},
+		"aconf": func(d lineage.DNF) (float64, error) { return approx.ConfSeeded(d, store, 0.1, 0.1, 1, 1) },
 	}
-	// DNF with the empty clause is TRUE.
-	d := lineage.DNF{lineage.TrueCond()}
-	for _, m := range []Method{Auto, Exact, Sprout, Approximate} {
-		p, err := Compute(d, store, Request{Method: m, Eps: 0.1, Delta: 0.1})
-		if err != nil || p != 1 {
-			t.Errorf("method %v TRUE DNF: %v %v", m, p, err)
+	for name, prob := range methods {
+		// Empty DNF is FALSE.
+		if p, err := prob(nil); err != nil || p != 0 {
+			t.Errorf("%s empty DNF: %v %v", name, p, err)
+		}
+		// DNF with the empty clause is TRUE.
+		if p, err := prob(lineage.DNF{lineage.TrueCond()}); err != nil || p != 1 {
+			t.Errorf("%s TRUE DNF: %v %v", name, p, err)
 		}
 	}
 	// Zero-probability literal.

@@ -7,7 +7,6 @@ package db
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
@@ -15,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"maybms/internal/conf"
 	"maybms/internal/events"
 	"maybms/internal/exec"
 	"maybms/internal/exec/parallel"
@@ -169,13 +167,6 @@ func (d *Database) LiveTracing() bool { return d.liveTrace.Load() }
 // Store exposes the world-set store (read access for marginals).
 func (d *Database) Store() *ws.Store { return d.store }
 
-// SetConfMethod overrides the strategy used by conf().
-func (d *Database) SetConfMethod(m conf.Method) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.exec.ConfMethod = m
-}
-
 // SetSeed installs seed as the root of Monte Carlo estimation: every
 // subsequent aconf() derives its own strand-partitioned trial stream
 // from it, so approximate results are reproducible and independent of
@@ -184,22 +175,6 @@ func (d *Database) SetSeed(seed int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.exec.Reseed(seed)
-}
-
-// SetRng injects the random source driving Monte Carlo estimation.
-// Unlike SetSeed, the caller's source is used as-is and sequentially:
-// aconf() falls back to the single-stream sampler, and unless the
-// source is internally synchronised, concurrent aconf() queries will
-// race on it. Prefer SetSeed. A nil r restores the seeded default.
-func (d *Database) SetRng(r *rand.Rand) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if r == nil {
-		d.exec.Reseed(1)
-		return
-	}
-	d.exec.Rng = r
-	d.exec.SeedValid = false
 }
 
 // SetParallelism sets the degree of intra-query parallelism: how many

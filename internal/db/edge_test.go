@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"maybms/internal/conf"
 )
 
 func TestExplainStatement(t *testing.T) {
@@ -124,18 +122,6 @@ func TestSnapshotDuringTxnFails(t *testing.T) {
 		t.Error("load during txn must fail")
 	}
 	mustRun(t, d, "rollback")
-}
-
-func TestConfMethodOverride(t *testing.T) {
-	d := New()
-	mustRun(t, d, `create table c (f text, w float); insert into c values ('h',1),('t',1)`)
-	for _, m := range []conf.Method{conf.Auto, conf.Exact, conf.Sprout} {
-		d.SetConfMethod(m)
-		res := mustRun(t, d, `select conf() from (repair key in c weight by w) r where f = 'h'`)
-		if p := res.Rel.Tuples[0].Data[0].Float(); math.Abs(p-0.5) > 1e-12 {
-			t.Errorf("method %v: %v", m, p)
-		}
-	}
 }
 
 func TestConcurrentQueries(t *testing.T) {

@@ -83,15 +83,15 @@ func (q *LiveQuery) Trace() *trace.Trace {
 // QuerySnap is a point-in-time view of one live query, shaped for
 // JSON: what /v1/queries and the shell's \queries render.
 type QuerySnap struct {
-	ID             string        `json:"id"`
-	SQL            string        `json:"sql"`
-	Session        string        `json:"session,omitempty"`
-	Engine         string        `json:"engine"`
-	Start          time.Time     `json:"start"`
-	ElapsedSeconds float64       `json:"elapsed_seconds"`
-	Parallelism    int           `json:"parallelism"`
-	Txn            int64         `json:"txn,omitempty"`
-	Canceled       bool          `json:"canceled,omitempty"`
+	ID             string    `json:"id"`
+	SQL            string    `json:"sql"`
+	Session        string    `json:"session,omitempty"`
+	Engine         string    `json:"engine"`
+	Start          time.Time `json:"start"`
+	ElapsedSeconds float64   `json:"elapsed_seconds"`
+	Parallelism    int       `json:"parallelism"`
+	Txn            int64     `json:"txn,omitempty"`
+	Canceled       bool      `json:"canceled,omitempty"`
 	// Ops is the live per-operator tree (rows, batches, timings so
 	// far); nil until the statement finishes planning, or when live
 	// tracing is disabled.

@@ -3,8 +3,8 @@ package exec
 import (
 	"fmt"
 
-	"maybms/internal/conf"
 	"maybms/internal/conf/approx"
+	"maybms/internal/conf/exact"
 	"maybms/internal/lineage"
 	"maybms/internal/plan"
 	"maybms/internal/schema"
@@ -154,14 +154,15 @@ func (e *Executor) emitGroupRows(n *plan.Aggregate, ctx *plan.EvalCtx, out *urel
 // group. argmax may fan a group out into several rows (one per
 // maximiser); every other combination yields exactly one.
 //
-// seeds, when non-nil, holds the pre-derived Monte Carlo seed per agg
-// spec — how the parallel group phase reproduces exactly the seed
-// sequence the serial group loop would draw from nextConfSeed (nil
-// derives inline, in call order). confWorkers overrides the sampling
-// parallelism of a seeded aconf (0 means the executor's degree);
-// group-parallel callers pass 1 so nested sampling workers do not
-// multiply — the seeded sampler's results are worker-count invariant,
-// so this changes wall-clock shape only, never bytes.
+// conf() is the exact d-tree solver; aconf(ε,δ) is the seeded
+// Karp-Luby sampler. seeds, when non-nil, holds the pre-derived Monte
+// Carlo seed per agg spec — how the parallel group phase reproduces
+// exactly the seed sequence the serial group loop would draw from
+// nextConfSeed (nil derives inline, in call order). confWorkers
+// overrides the sampling parallelism of aconf (0 means the executor's
+// degree); group-parallel callers pass 1 so nested sampling workers do
+// not multiply — the seeded sampler's results are worker-count
+// invariant, so this changes wall-clock shape only, never bytes.
 func (e *Executor) aggregateGroup(n *plan.Aggregate, ctx *plan.EvalCtx, g *group, seeds []int64, confWorkers int) ([]schema.Tuple, error) {
 	aggVals := make(schema.Tuple, len(n.Aggs))
 	argmaxIdx := -1
@@ -173,49 +174,43 @@ func (e *Executor) aggregateGroup(n *plan.Aggregate, ctx *plan.EvalCtx, g *group
 			for _, t := range g.rows {
 				event = append(event, t.Cond)
 			}
-			req := conf.Request{Method: e.ConfMethod, Rng: e.rng()}
-			if tr := e.Tracer; tr != nil {
-				// Fold the sampling effort into the aggregate operator's
-				// stats. Groups may compute on concurrent workers; the
-				// counters are atomic.
-				st := tr.Node(n)
-				req.Observe = func(s approx.SampleStats) {
-					st.Counter("samples").Add(s.Trials)
-					if s.RelErr > 0 {
-						st.ObserveRelErr(s.RelErr)
-					}
-				}
+			if spec.Kind == plan.AggConf {
+				aggVals[i] = types.NewFloat(exact.Prob(event, e.Store))
+				break
 			}
-			if spec.Kind == plan.AggAconf {
-				observe := req.Observe
-				req = conf.Request{Method: conf.Approximate, Eps: spec.Eps, Delta: spec.Delta, Rng: e.rng(), Observe: observe}
-				if e.SeedValid {
-					// Strand-partitioned sampling: the derived seed fixes
-					// the trial outcomes and Workers only distributes
-					// them, so results are byte-identical at every degree
-					// of parallelism.
-					if seeds != nil {
-						req.Seed = seeds[i]
-					} else {
-						req.Seed = e.nextConfSeed()
-					}
-					req.HasSeed = true
-					if confWorkers > 0 {
-						req.Workers = confWorkers
-					} else {
-						req.Workers = e.dop()
-					}
-				}
+			// Strand-partitioned sampling: the derived seed fixes the
+			// trial outcomes and workers only distributes them, so
+			// results are byte-identical at every degree of parallelism.
+			var seed int64
+			if seeds != nil {
+				seed = seeds[i]
+			} else {
+				seed = e.nextConfSeed()
 			}
+			workers := confWorkers
+			if workers <= 0 {
+				workers = e.dop()
+			}
+			var cancel func() error
 			if e.Cancel != nil {
 				// Monte Carlo estimation can run millions of trials; the
 				// sampling loops poll this between trial blocks so a
 				// killed aconf unwinds without waiting for convergence.
-				req.Cancel = e.Cancel.Err
+				cancel = e.Cancel.Err
 			}
-			p, err := conf.Compute(event, e.Store, req)
+			p, st, err := approx.ConfSeededStats(event, e.Store, spec.Eps, spec.Delta, seed, workers, cancel)
 			if err != nil {
 				return nil, err
+			}
+			if tr := e.Tracer; tr != nil {
+				// Fold the sampling effort into the aggregate operator's
+				// stats. Groups may compute on concurrent workers; the
+				// counters are atomic.
+				ns := tr.Node(n)
+				ns.Counter("samples").Add(st.Trials)
+				if st.RelErr > 0 {
+					ns.ObserveRelErr(st.RelErr)
+				}
 			}
 			aggVals[i] = types.NewFloat(p)
 

@@ -3,18 +3,16 @@
 // (ICDE 2008): projections and selections carry condition columns
 // along, joins conjoin conditions and drop inconsistent pairs, and the
 // uncertainty-introducing operators allocate fresh world-set
-// variables. Confidence aggregation delegates to the algorithms in
-// internal/conf.
+// variables. Confidence aggregation calls the algorithms in
+// internal/conf: conf() the exact d-tree solver, aconf(ε,δ) the seeded
+// Karp-Luby sampler.
 package exec
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
-	"sync"
 	"sync/atomic"
 
-	"maybms/internal/conf"
 	"maybms/internal/exec/live"
 	"maybms/internal/exec/parallel"
 	"maybms/internal/exec/trace"
@@ -30,13 +28,6 @@ import (
 type Executor struct {
 	Cat   plan.Catalog
 	Store *ws.Store
-	// Rng drives Monte Carlo confidence computation when no root seed
-	// is installed (SetRng with a caller-owned source); nil means a
-	// deterministic default source.
-	Rng *rand.Rand
-	// ConfMethod is the strategy behind conf(); Auto (SPROUT with
-	// d-tree fallback) unless overridden.
-	ConfMethod conf.Method
 	// Parallelism is the degree of intra-query parallelism: pipeline
 	// fragments over tables of at least MinPartitionRows rows compile
 	// to an exchange over this many partitions, and aconf's Monte
@@ -62,11 +53,9 @@ type Executor struct {
 	// costs one pointer check per operator open and nothing else.
 	Tracer *trace.Trace
 	// Seed is the root seed behind aconf's strand-partitioned Monte
-	// Carlo sampling; each aconf call derives its own stream from it.
-	// Valid only while SeedValid — SetRng installs a caller-owned
-	// source instead and clears it.
-	Seed      int64
-	SeedValid bool
+	// Carlo sampling; each aconf call derives its own seed from it and
+	// its call index (nextConfSeed). Fork copies it.
+	Seed int64
 	// Args is the argument vector of a parameterized plan (literals
 	// extracted by statement normalization); plan.Param expressions read
 	// it by index. Per-statement state like Tracer: Fork does not copy
@@ -87,15 +76,13 @@ type Executor struct {
 	confCalls atomic.Uint64
 }
 
-// New returns an executor with default settings. The default random
-// source is internally locked so read-only queries running in parallel
-// (the database's shared-lock path) may draw from it concurrently.
+// New returns an executor with default settings and root seed 1.
 func New(cat plan.Catalog, store *ws.Store) *Executor {
-	return &Executor{Cat: cat, Store: store, Rng: NewLockedRand(1), Seed: 1, SeedValid: true}
+	return &Executor{Cat: cat, Store: store, Seed: 1}
 }
 
 // Fork returns a fresh executor with this executor's configuration
-// (seed, parallelism, confidence method, stats sink) bound to another
+// (seed, parallelism, stats sink, worker pool) bound to another
 // catalog and store — how the engine equips each snapshot with an
 // executor. The aconf call numbering restarts at zero, so a statement
 // always draws the same Monte Carlo streams no matter what ran before
@@ -104,14 +91,11 @@ func (e *Executor) Fork(cat plan.Catalog, store *ws.Store) *Executor {
 	return &Executor{
 		Cat:              cat,
 		Store:            store,
-		Rng:              e.Rng,
-		ConfMethod:       e.ConfMethod,
 		Parallelism:      e.Parallelism,
 		MinPartitionRows: e.MinPartitionRows,
 		Stats:            e.Stats,
 		Pool:             e.Pool,
 		Seed:             e.Seed,
-		SeedValid:        e.SeedValid,
 	}
 }
 
@@ -120,8 +104,6 @@ func (e *Executor) Fork(cat plan.Catalog, store *ws.Store) *Executor {
 // results reproducible from this point.
 func (e *Executor) Reseed(seed int64) {
 	e.Seed = seed
-	e.SeedValid = true
-	e.Rng = NewLockedRand(seed)
 	e.confCalls.Store(0)
 }
 
@@ -135,51 +117,8 @@ func (e *Executor) nextConfSeed() int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// lockedSource serialises access to a rand.Source64 so a single
-// *rand.Rand can be shared by concurrent query executions.
-type lockedSource struct {
-	mu  sync.Mutex
-	src rand.Source64
-}
-
-func (s *lockedSource) Int63() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.src.Int63()
-}
-
-func (s *lockedSource) Uint64() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.src.Uint64()
-}
-
-func (s *lockedSource) Seed(seed int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.src.Seed(seed)
-}
-
-// NewLockedRand returns a seeded *rand.Rand safe for concurrent use
-// (the source is mutex-guarded; rand.Rand itself keeps no other state
-// on the methods the engine uses).
-func NewLockedRand(seed int64) *rand.Rand {
-	return rand.New(&lockedSource{src: rand.NewSource(seed).(rand.Source64)})
-}
-
-// rng returns the executor's random source. New always installs one;
-// a nil Rng (an executor built by hand) gets a fresh locked source
-// per call rather than a lazy field write, which would race under the
-// database's shared read lock.
-func (e *Executor) rng() *rand.Rand {
-	if e.Rng == nil {
-		return NewLockedRand(1)
-	}
-	return e.Rng
-}
-
 func (e *Executor) evalCtx() *plan.EvalCtx {
-	return &plan.EvalCtx{Store: e.Store, Run: e.Run, Rng: e.rng(), Args: e.Args}
+	return &plan.EvalCtx{Store: e.Store, Run: e.Run, Args: e.Args}
 }
 
 // Run executes a plan recursively, materialising every operator's

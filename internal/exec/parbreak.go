@@ -31,7 +31,6 @@ import (
 	"io"
 	"sort"
 
-	"maybms/internal/conf"
 	"maybms/internal/exec/parallel"
 	"maybms/internal/plan"
 	"maybms/internal/schema"
@@ -112,10 +111,11 @@ func (e *Executor) parAggregate(n *plan.Aggregate, fp *fragPrep, pc PartitionCat
 	groups := forceGroup(n, mergeGroupers(parts))
 
 	// Phase 3: per-group aggregate computation, fanned out across the
-	// pool when every spec is order-insensitive, with Monte Carlo
-	// seeds pre-derived in canonical group order.
+	// pool. Every aggregate is a pure function of its group's rows and
+	// a Monte Carlo seed, and the seeds are pre-derived in canonical
+	// group order, so the fan-out cannot change bytes.
 	synth := make([][]schema.Tuple, len(groups))
-	if len(groups) > 1 && e.groupComputeParallel(n) {
+	if len(groups) > 1 {
 		seeds := e.deriveGroupSeeds(n, groups)
 		njobs := nparts
 		if len(groups) < njobs {
@@ -170,29 +170,6 @@ func (e *Executor) parAggregate(n *plan.Aggregate, fp *fragPrep, pc PartitionCat
 	return out, nil
 }
 
-// groupComputeParallel reports whether n's aggregate computations may
-// fan out across groups without changing bytes: every spec must be a
-// pure function of the group's rows (and a pre-derivable seed). The
-// two exceptions draw from the engine's shared sequential RNG in call
-// order — conf() under a forced Approximate method, and aconf() after
-// SetRng installed a caller-owned source — so they stay on the serial
-// group loop.
-func (e *Executor) groupComputeParallel(n *plan.Aggregate) bool {
-	for _, spec := range n.Aggs {
-		switch spec.Kind {
-		case plan.AggConf:
-			if e.ConfMethod == conf.Approximate {
-				return false
-			}
-		case plan.AggAconf:
-			if !e.SeedValid {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // deriveGroupSeeds pre-draws the per-(group, spec) Monte Carlo seeds
 // in exactly the order the serial group loop would draw them: groups
 // in canonical order, specs in declaration order. nil when no spec
@@ -200,7 +177,7 @@ func (e *Executor) groupComputeParallel(n *plan.Aggregate) bool {
 func (e *Executor) deriveGroupSeeds(n *plan.Aggregate, groups []*group) [][]int64 {
 	need := false
 	for _, spec := range n.Aggs {
-		if spec.Kind == plan.AggAconf && e.SeedValid {
+		if spec.Kind == plan.AggAconf {
 			need = true
 		}
 	}

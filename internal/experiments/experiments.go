@@ -162,7 +162,7 @@ func E2Sweep(opts Options) []E2Point {
 			probs += p
 
 			t0 = time.Now()
-			if _, err := approx.Conf(d, store, 0.1, 0.1, rng); err != nil {
+			if _, err := approx.ConfSeeded(d, store, 0.1, 0.1, opts.Seed+int64(i), 1); err != nil {
 				panic(err)
 			}
 			apT += float64(time.Since(t0).Microseconds())
@@ -256,7 +256,6 @@ func E3Sweep(opts Options) []E3Point {
 	if opts.Quick {
 		scales = []int{20, 50, 100}
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
 	var out []E3Point
 	for _, n := range scales {
 		dnfs, store := E3Setup(n, opts.Seed)
@@ -279,8 +278,8 @@ func E3Sweep(opts Options) []E3Point {
 		pt.ExactUS = float64(time.Since(t0).Microseconds())
 
 		t0 = time.Now()
-		for _, d := range dnfs {
-			if _, err := approx.Conf(d, store, 0.1, 0.1, rng); err != nil {
+		for i, d := range dnfs {
+			if _, err := approx.ConfSeeded(d, store, 0.1, 0.1, opts.Seed+int64(i), 1); err != nil {
 				panic(err)
 			}
 		}
@@ -485,7 +484,8 @@ type E7Point struct {
 	MeanTrials float64
 }
 
-// E7Sweep verifies aconf's accuracy guarantee empirically.
+// E7Sweep verifies aconf's accuracy guarantee empirically, on the
+// seeded sampler aconf() runs: one seed per instance.
 func E7Sweep(opts Options) []E7Point {
 	epss := []float64{0.2, 0.1, 0.05}
 	instances := 30
@@ -505,8 +505,10 @@ func E7Sweep(opts Options) []E7Point {
 			if truth == 0 {
 				continue
 			}
-			est := approx.NewEstimator(d, store, rng)
-			got := est.S * estAA(est, eps, 0.05)
+			got, st, err := approx.ConfSeededStats(d, store, eps, 0.05, opts.Seed+int64(i), 1, nil)
+			if err != nil {
+				panic(err)
+			}
 			rel := math.Abs(got-truth) / truth
 			pt.MeanRelErr += rel
 			if rel > pt.MaxRelErr {
@@ -515,20 +517,13 @@ func E7Sweep(opts Options) []E7Point {
 			if rel > eps {
 				pt.Violations++
 			}
-			pt.MeanTrials += float64(est.Trials)
+			pt.MeanTrials += float64(st.Trials)
 		}
 		pt.MeanRelErr /= float64(instances)
 		pt.MeanTrials /= float64(instances)
 		out = append(out, pt)
 	}
 	return out
-}
-
-// estAA runs the DKLR AA algorithm through the public Conf API while
-// reusing the estimator's trial counter. To keep the counter we call
-// the estimator-based path directly.
-func estAA(e *approx.Estimator, eps, delta float64) float64 {
-	return e.AA(eps, delta)
 }
 
 // E7 prints the aconf accuracy table.

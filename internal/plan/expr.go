@@ -9,7 +9,6 @@ package plan
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -36,10 +35,8 @@ type NodeRunner func(n Node) (*urel.Rel, error)
 
 // EvalCtx carries the runtime state expression evaluation needs.
 type EvalCtx struct {
-	Store  *ws.Store
-	Run    NodeRunner
-	Rng    *rand.Rand
-	Params map[string]types.Value // reserved for future use
+	Store *ws.Store
+	Run   NodeRunner
 	// Args holds the literal values extracted by statement
 	// normalization, indexed by sql.Param.Idx. A cached plan is the
 	// compiled normalized query; each execution supplies its own

@@ -13,10 +13,10 @@
 //   - esum(e), ecount()                     (expected aggregates)
 //   - argmax(arg, value)                    (maximising arguments)
 //
-// Confidence computation uses SPROUT-style read-once factorisation
-// for tractable lineage, the Koch-Olteanu exact d-tree algorithm in
-// general, and Karp-Luby Monte Carlo estimation with the
-// Dagum-Karp-Luby-Ross optimal stopping rule for aconf.
+// conf() is the Koch-Olteanu exact d-tree algorithm, which takes
+// SPROUT's read-once factorisation steps when the lineage allows;
+// aconf(ε,δ) is Karp-Luby Monte Carlo estimation with the
+// Dagum-Karp-Luby-Ross optimal stopping rule.
 //
 // Quickstart:
 //
@@ -142,11 +142,12 @@ func OpenFile(path string) (*DB, error) {
 // SaveFile writes a snapshot of the database to path.
 func (d *DB) SaveFile(path string) error { return d.inner.SaveFile(path) }
 
-// SetSeed fixes the random source behind aconf's Monte Carlo sampling,
-// making approximate results reproducible. The source is internally
-// synchronised, so seeded databases remain safe for concurrent use
-// (though interleaving of concurrent aconf() calls is of course not
-// deterministic).
+// SetSeed fixes the root seed behind aconf's Monte Carlo sampling,
+// making approximate results reproducible. Every aconf() call samples
+// from a seed derived from the root and the call's index (counted per
+// statement for queries), and the sampler's trial schedule is a pure
+// function of that seed: concurrent aconf() queries share no random
+// state, and each returns the same bits it would return alone.
 func (d *DB) SetSeed(seed int64) {
 	d.inner.SetSeed(seed)
 }
@@ -591,7 +592,7 @@ func (d *DB) RunScript(src string) (*Rows, Result, error) {
 // event that some query returned at least one answer (Koch & Olteanu,
 // "Conditioning Probabilistic Databases", VLDB 2008). Posterior
 // probabilities are exact, computed as P(A ∧ B)/P(B) by the d-tree
-// solver.
+// solver. A Posterior is safe for concurrent use.
 type Posterior struct {
 	db   *DB
 	cond *condition.Conditioned
