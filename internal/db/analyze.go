@@ -1,11 +1,11 @@
 package db
 
 // EXPLAIN ANALYZE and the traced-execution entry points. Tracing rides
-// the per-statement executor: the read path attaches the Trace to the
+// the per-statement executor: a read attaches the Trace to the
 // snapshot's forked executor (private to the statement by
-// construction), the write path attaches it to the live executor under
-// the exclusive lock and detaches before the lock is released, so an
-// untraced statement never observes another statement's tracer.
+// construction), a statement inside a transaction attaches it to the
+// transaction's executor and detaches before the statement returns, so
+// an untraced statement never observes another statement's tracer.
 
 import (
 	"fmt"
@@ -23,24 +23,15 @@ import (
 	"maybms/internal/urel"
 )
 
-// planner abstracts the two statement-planning scopes — the live
-// database under the exclusive lock and a read snapshot — so the
-// EXPLAIN paths route through the plan cache and optimizer exactly
-// like real execution, and can report the cache outcome the query
-// itself would have had.
+// planner abstracts the two statement-planning scopes — a read
+// snapshot and a transaction's private view — so the EXPLAIN paths
+// route through the plan cache and optimizer exactly like real
+// execution, and can report the cache outcome the query itself would
+// have had.
 type planner interface {
-	// planFor plans q through the normalized-plan cache (see
-	// Database.planQuery); unlike Snapshot.Query it accepts write
-	// queries, which plan fine and simply bypass the cache.
+	// planFor plans q (see Snapshot.planFor); queries that introduce
+	// uncertainty plan fine and simply bypass the cache.
 	planFor(q sql.Query) (plan.Node, []types.Value, string, bool, error)
-}
-
-func (d *Database) planFor(q sql.Query) (plan.Node, []types.Value, string, bool, error) {
-	return d.planQuery(q, d, d, d.planGen.Load())
-}
-
-func (s *Snapshot) planFor(q sql.Query) (plan.Node, []types.Value, string, bool, error) {
-	return s.db.planQuery(q, s, s, s.gen)
 }
 
 // cacheLine renders the plan-cache outcome appended to both EXPLAIN
@@ -66,13 +57,34 @@ func planResult(text string) *Result {
 	return &Result{Rel: out}
 }
 
+// runExplain runs an EXPLAIN statement planned by p: ANALYZE executes
+// the query on ex, which must execute against p's state.
+func runExplain(s *sql.ExplainStmt, p planner, ex *exec.Executor, tr *trace.Trace, lq *LiveQuery) (*Result, plan.Node, error) {
+	if !s.Analyze {
+		res, err := explain(s, p)
+		return res, nil, err
+	}
+	if tr == nil {
+		tr = trace.New()
+	}
+	return explainAnalyze(s, p, ex, tr, lq)
+}
+
+// result wraps a drained query result as a statement Result.
+func result(rel *urel.Rel, n plan.Node, err error) (*Result, plan.Node, error) {
+	if err != nil {
+		return nil, n, err
+	}
+	return &Result{Rel: rel}, n, nil
+}
+
 // explainAnalyze executes s.Query for real on ex — rows are drained
-// and discarded, so result semantics (world-set allocation, sampling
-// effort, everything) are byte-identical to running the query — and
-// renders the plan outline annotated with the recorded per-operator
-// stats. p must be the planning scope ex executes against. Like
-// EXPLAIN, it leaves the plan cache as the query itself would: a cached
-// shape stays cached with the same plan.
+// and discarded, so result semantics (world-set allocation in the
+// statement's overlay, sampling effort, everything) are byte-identical
+// to running the query — and renders the plan outline annotated with
+// the recorded per-operator stats. p must be the planning scope ex
+// executes against. Like EXPLAIN, it leaves the plan cache as the
+// query itself would: a cached shape stays cached with the same plan.
 // lq (when non-nil) receives the plan root for live introspection.
 func explainAnalyze(s *sql.ExplainStmt, p planner, ex *exec.Executor, tr *trace.Trace, lq *LiveQuery) (*Result, plan.Node, error) {
 	n, args, fp, hit, err := p.planFor(s.Query)
@@ -215,35 +227,10 @@ func (d *Database) RunStatementMeta(s sql.Statement, tr *trace.Trace, meta Query
 		defer snap.Close()
 		snap.exec.Tracer = tr
 		snap.exec.Cancel = lq.Flag()
-		switch s := s.(type) {
-		case *sql.QueryStmt:
-			n, args, _, _, err := snap.planFor(s.Query)
-			if err != nil {
-				return nil, nil, err
-			}
-			lq.setRoot(n)
-			snap.exec.Args = args
-			it, err := snap.exec.Open(n)
-			if err != nil {
-				return nil, n, err
-			}
-			rel, err := urel.Drain(it)
-			if err != nil {
-				return nil, n, err
-			}
-			return &Result{Rel: rel}, n, nil
-		case *sql.ExplainStmt:
-			if s.Analyze {
-				if tr == nil {
-					tr = trace.New()
-				}
-				return explainAnalyze(s, snap, snap.exec, tr, lq)
-			}
-			res, err := explain(s, snap)
-			return res, nil, err
-		default:
-			return nil, nil, fmt.Errorf("db: internal: %T misclassified as read-only", s)
+		if q, ok := s.(*sql.QueryStmt); ok {
+			return result(snap.queryPlanned(q.Query, lq))
 		}
+		return runExplain(s.(*sql.ExplainStmt), snap, snap.exec, tr, lq)
 	}
 	// Autocommit write: an implicit transaction built, run, and
 	// committed under one continuous exclusive-lock hold. Validation is

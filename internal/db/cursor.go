@@ -13,7 +13,7 @@ import (
 
 // Cursor is a streaming query result: batches are pulled on demand and
 // the full result is never materialised (except behind pipeline
-// breakers). A cursor over a read-only query streams from a
+// breakers). A cursor outside a transaction streams from a
 // point-in-time Snapshot of the database, so it holds no engine lock:
 // writers proceed freely while the cursor is open, other statements —
 // reads or writes — may run on the same goroutine mid-iteration, and
@@ -38,12 +38,10 @@ type Cursor struct {
 }
 
 // OpenQuery opens a streaming cursor over a single query statement.
-// Read-only queries (no repair-key / pick-tuples anywhere in the tree)
-// stream from a snapshot captured under a momentary read lock; the
-// cursor itself holds no lock. Anything else — the
-// uncertainty-introducing operators allocate world-set variables — is
-// executed to completion under the exclusive lock first, and the
-// cursor serves the materialised result.
+// The query streams from a snapshot captured under a momentary read
+// lock; the cursor itself holds no lock. A query with repair-key or
+// pick-tuples allocates its world-set variables in the snapshot's
+// private overlay, which lives as long as the cursor.
 func (d *Database) OpenQuery(src string) (*Cursor, error) {
 	stmts, err := sql.ParseAll(src)
 	if err != nil {
@@ -70,9 +68,7 @@ func (d *Database) OpenQueryStmt(qs *sql.QueryStmt) (*Cursor, error) {
 // OpenQueryStmtTraced is OpenQueryStmt with tr (when non-nil) attached
 // to the cursor's executor, so every batch the cursor pulls records
 // per-operator stats. It also returns the plan root for rendering the
-// analyzed tree once the stream ends; nil on the write-statement
-// fallback, where the result was materialised under the exclusive
-// lock.
+// analyzed tree once the stream ends.
 func (d *Database) OpenQueryStmtTraced(qs *sql.QueryStmt, tr *trace.Trace) (*Cursor, plan.Node, error) {
 	return d.OpenQueryStmtMeta(qs, tr, QueryMeta{})
 }
@@ -83,11 +79,11 @@ func (d *Database) OpenQueryStmtTraced(qs *sql.QueryStmt, tr *trace.Trace) (*Cur
 // and a kill mid-stream surfaces as a typed live.Error from Next
 // within one batch boundary.
 func (d *Database) OpenQueryStmtMeta(qs *sql.QueryStmt, tr *trace.Trace, meta QueryMeta) (*Cursor, plan.Node, error) {
-	if !sql.ReadOnly(qs) || meta.Txn != nil || d.peekDefaultTxn() != nil {
-		// Write queries materialise under the exclusive lock; queries
-		// inside a transaction materialise against the transaction's
-		// private view (its snapshot plus its own buffered writes), so
-		// the stream cannot outlive the transaction's overlay.
+	if meta.Txn != nil || d.peekDefaultTxn() != nil {
+		// Queries inside a transaction materialise against the
+		// transaction's private view (its snapshot plus its own
+		// buffered writes), so the stream cannot outlive the
+		// transaction's overlay.
 		res, n, err := d.RunStatementMeta(qs, tr, meta)
 		if err != nil {
 			return nil, n, err
@@ -119,7 +115,7 @@ func (d *Database) OpenQueryStmtMeta(qs *sql.QueryStmt, tr *trace.Trace, meta Qu
 }
 
 // NewRelCursor wraps an already-materialised relation in a cursor (the
-// write-statement fallback, and frontends that stream a stored
+// in-transaction fallback, and frontends that stream a stored
 // result). No snapshot is held.
 func NewRelCursor(rel *urel.Rel) *Cursor {
 	return &Cursor{

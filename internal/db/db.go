@@ -30,15 +30,16 @@ import (
 // Database is a MayBMS database instance: tables, world-set store, and
 // executor. Concurrency control is single-writer / multi-reader with
 // snapshot-isolated reads: each statement is classified before locking
-// (sql.ReadOnly), writes — DDL, DML, transactions, and queries
-// containing the uncertainty-introducing repair-key / pick-tuples
-// operators (which allocate world-set variables) — take an exclusive
-// lock, while read-only statements take the read lock only long enough
-// to capture a Snapshot (an immutable copy-on-write view of tables and
-// world-set store) and then execute against it with no lock held at
-// all. Cursors therefore never pin a lock: a writer can commit while
-// a streaming read is mid-iteration, and the read keeps observing its
-// snapshot. The paper notes the purely relational representation makes
+// (sql.ReadOnly). Writes (DDL, DML, transactions) take an exclusive
+// lock. Every query and EXPLAIN is a read: it takes the read lock only
+// long enough to capture a Snapshot (an immutable copy-on-write view
+// of tables and world-set store) and then executes against it with no
+// lock held at all. A query that introduces uncertainty (repair key,
+// pick tuples) allocates its world-set variables in a private overlay
+// of the snapshot's store, which it drops when it ends. Cursors
+// therefore never pin a lock: a writer can commit while a streaming
+// read is mid-iteration, and the read keeps observing its snapshot.
+// The paper notes the purely relational representation makes
 // concurrency control unremarkable; the classifier plus the snapshot
 // seam is what keeps the confidence hot path out of the writer funnel.
 type Database struct {
@@ -52,11 +53,11 @@ type Database struct {
 	snapsOpen atomic.Int64
 
 	// plans is the normalized-plan cache; planGen is its invalidation
-	// generation, bumped by every write-classified statement (see
-	// plancache.go). planGen is read
-	// under d.mu (either mode) and bumped only under the exclusive
-	// lock, so a generation captured together with a snapshot is
-	// consistent with that snapshot's state.
+	// generation, bumped by every commit that changes live state (see
+	// plancache.go). planGen is read under d.mu (either mode) and
+	// bumped only under the exclusive lock, so a generation captured
+	// together with a snapshot is consistent with that snapshot's
+	// state.
 	plans   *planCache
 	planGen atomic.Int64
 
@@ -81,7 +82,6 @@ type Database struct {
 
 	// durable is the WAL-backed store when the database was opened on
 	// a data directory (Open with DataDir); nil for the memory engine.
-	// Every write-classified statement ends with commitDurable.
 	durable *disk.Store
 
 	// reg is the live-query registry: every executing statement is
@@ -131,7 +131,9 @@ func New() *Database {
 	}
 	d.reg = newRegistry(d.events)
 	d.liveTrace.Store(true)
-	d.exec = exec.New(d, d.store)
+	// d.exec is the template every snapshot and transaction forks; it
+	// never runs a statement itself.
+	d.exec = exec.New(nil, d.store)
 	d.exec.Parallelism = runtime.GOMAXPROCS(0)
 	d.exec.Stats = &parallel.Stats{}
 	d.exec.Pool = parallel.NewPool(runtime.GOMAXPROCS(0))
@@ -164,8 +166,19 @@ func (d *Database) SetLiveTracing(on bool) { d.liveTrace.Store(on) }
 // LiveTracing reports whether statements get an always-on trace.
 func (d *Database) LiveTracing() bool { return d.liveTrace.Load() }
 
-// Store exposes the world-set store (read access for marginals).
+// Store exposes the world-set store (read access for marginals). It
+// holds the variables of stored tables only: a query's own repair key
+// or pick tuples allocates into a private overlay that ends with the
+// statement.
 func (d *Database) Store() *ws.Store { return d.store }
+
+// WSVars reports how many variables the shared world-set store holds.
+// It reads under the lock every allocation into that store holds.
+func (d *Database) WSVars() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.store.NumVars()
+}
 
 // SetSeed installs seed as the root of Monte Carlo estimation: every
 // subsequent aconf() derives its own strand-partitioned trial stream
@@ -243,77 +256,15 @@ func (d *Database) TableNames() []string {
 	return names
 }
 
-// SchemaOf returns the schema of a stored table, taking the read lock
-// (unlike the plan.Catalog methods, which run inside a statement's
-// lock scope).
+// SchemaOf returns the schema of a stored table.
 func (d *Database) SchemaOf(name string) (*schema.Schema, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.TableSchema(name)
-}
-
-// TableSchema implements plan.Catalog.
-func (d *Database) TableSchema(name string) (*schema.Schema, error) {
 	t, ok := d.tables[strings.ToLower(name)]
 	if !ok {
 		return nil, fmt.Errorf("db: table %q does not exist", name)
 	}
 	return t.Schema(), nil
-}
-
-// TableRel implements plan.Catalog.
-func (d *Database) TableRel(name string) (*urel.Rel, error) {
-	t, ok := d.tables[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("db: table %q does not exist", name)
-	}
-	return t.ToRel(), nil
-}
-
-// TableCertain implements plan.Catalog: the system catalog
-// distinguishes U-relations from standard relational tables.
-func (d *Database) TableCertain(name string) (bool, error) {
-	t, ok := d.tables[strings.ToLower(name)]
-	if !ok {
-		return false, fmt.Errorf("db: table %q does not exist", name)
-	}
-	return t.Certain(), nil
-}
-
-// TableBatches implements exec.BatchCatalog: a streaming scan that
-// pulls tuples straight out of the heap, batch by batch, without
-// materialising the table. Like the other catalog methods it runs
-// inside a statement's lock scope; the returned iterator is valid only
-// while that lock is held. Cursors never use this live catalog — they
-// stream from a Snapshot, whose iterators need no lock.
-func (d *Database) TableBatches(name string, size int) (urel.Iterator, error) {
-	t, ok := d.tables[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("db: table %q does not exist", name)
-	}
-	return t.Batches(nil, size), nil
-}
-
-// TablePartBatches implements exec.PartitionCatalog over live storage:
-// a streaming scan of one contiguous row-range shard. Like
-// TableBatches it is valid only inside the statement's lock scope —
-// the executor's exchange pulls the shards from worker goroutines, but
-// always strictly within the statement call that holds the lock.
-func (d *Database) TablePartBatches(name string, part, nparts, size int) (urel.Iterator, error) {
-	t, ok := d.tables[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("db: table %q does not exist", name)
-	}
-	return t.PartBatches(nil, part, nparts, size), nil
-}
-
-// TableLen implements exec.PartitionCatalog.
-func (d *Database) TableLen(name string) (int, error) {
-	t, ok := d.tables[strings.ToLower(name)]
-	if !ok {
-		return 0, fmt.Errorf("db: table %q does not exist", name)
-	}
-	return t.Len(), nil
 }
 
 // Run parses and executes a script of one or more statements,
@@ -338,20 +289,18 @@ func (d *Database) Run(src string) (*Result, error) {
 	return last, nil
 }
 
-// RunStatement executes a parsed statement. Read-only statements
-// (per sql.ReadOnly) execute against a point-in-time Snapshot,
-// concurrently with each other and with at most a brief read-lock
-// acquisition; everything else is serialised behind the exclusive
-// lock.
+// RunStatement executes a parsed statement. Reads (per sql.ReadOnly)
+// execute against a point-in-time Snapshot, concurrently with each
+// other and with at most a brief read-lock acquisition; everything
+// else is serialised behind the exclusive lock.
 func (d *Database) RunStatement(s sql.Statement) (*Result, error) {
 	res, _, err := d.RunStatementMeta(s, nil, QueryMeta{})
 	return res, err
 }
 
-// explain plans the query through the optimizer and plan cache
-// (against the live database under the exclusive lock, or a snapshot
-// on the read path) and renders the optimized outline plus the cache
-// outcome the real execution would have had.
+// explain plans the query through the optimizer and plan cache (a
+// snapshot, or a transaction's private view) and renders the optimized
+// outline plus the cache outcome the real execution would have had.
 func explain(s *sql.ExplainStmt, p planner) (*Result, error) {
 	n, _, fp, hit, err := p.planFor(s.Query)
 	if err != nil {
@@ -360,44 +309,10 @@ func explain(s *sql.ExplainStmt, p planner) (*Result, error) {
 	return planResult(plan.Explain(n) + cacheLine(fp, hit)), nil
 }
 
-// query plans and runs a query through the streaming executor,
-// draining the iterator pipeline into a materialised result. Running
-// inside the statement's lock scope, the drain is complete before the
-// lock is released. A LIMIT near the root stops pulling early, so the
-// full input is never computed.
-func (d *Database) query(q sql.Query) (*urel.Rel, error) {
-	rel, _, err := d.queryPlanned(q, nil)
-	return rel, err
-}
-
-// queryPlanned is query, also returning the plan root (for traced
-// callers that render the analyzed tree). The plan goes through the
-// optimizer and the normalized-plan cache like the read path's; the
-// caller holds the exclusive lock, whose entry bump means lookups here
-// always replan — correct, since this statement may be mid-mutation.
-// lq (when non-nil) receives the plan root once planning completes, so
-// the live-query registry can snapshot the operator tree mid-run.
-func (d *Database) queryPlanned(q sql.Query, lq *LiveQuery) (*urel.Rel, plan.Node, error) {
-	n, args, _, _, err := d.planQuery(q, d, d, d.planGen.Load())
-	if err != nil {
-		return nil, nil, err
-	}
-	lq.setRoot(n)
-	d.exec.Args = args
-	defer func() { d.exec.Args = nil }()
-	it, err := d.exec.Open(n)
-	if err != nil {
-		return nil, n, err
-	}
-	rel, err := urel.Drain(it)
-	return rel, n, err
-}
-
-// QueryRel plans and executes a single query statement through either
-// the streaming engine (materialised=false) or the recursive
-// reference path (materialised=true), under the appropriate lock.
-// The two must return identical rows; tests and benchmarks compare
-// them.
+// QueryRel plans and executes a single query statement on a snapshot
+// through either the streaming engine (materialised=false) or the
+// recursive reference path (materialised=true). The two must return
+// identical rows; tests and benchmarks compare them.
 func (d *Database) QueryRel(src string, materialised bool) (*urel.Rel, error) {
 	stmts, err := sql.ParseAll(src)
 	if err != nil {
@@ -410,37 +325,14 @@ func (d *Database) QueryRel(src string, materialised bool) (*urel.Rel, error) {
 	if !ok {
 		return nil, fmt.Errorf("db: QueryRel requires a query statement, got %T", stmts[0])
 	}
-	if sql.ReadOnly(qs) {
-		snap := d.SnapshotFor(qs)
-		defer snap.Close()
-		if !materialised {
-			return snap.Query(qs.Query)
-		}
-		n, err := plan.Build(qs.Query, snap)
-		if err != nil {
-			return nil, err
-		}
-		return snap.exec.Run(n)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var rel *urel.Rel
+	snap := d.SnapshotFor(qs)
+	defer snap.Close()
 	if !materialised {
-		rel, err = d.query(qs.Query)
-	} else {
-		var n plan.Node
-		n, err = plan.Build(qs.Query, d)
-		if err == nil {
-			rel, err = d.exec.Run(n)
-		}
+		return snap.Query(qs.Query)
 	}
-	// A write-classified query (repair-key / pick-tuples) may have
-	// allocated world-set variables; end its WAL batch.
-	if cerr := d.commitDurable(); cerr != nil && err == nil {
-		err = cerr
-	}
+	n, err := plan.Build(qs.Query, snap)
 	if err != nil {
 		return nil, err
 	}
-	return rel, nil
+	return snap.exec.Run(n)
 }

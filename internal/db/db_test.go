@@ -562,7 +562,9 @@ func TestCreateTableAsPreservesUncertainty(t *testing.T) {
 	d := New()
 	mustRun(t, d, `create table r3 (x int, p float); insert into r3 values (1,0.5),(2,0.25)`)
 	mustRun(t, d, `create table u3 as pick tuples from r3 with probability p`)
-	certain, err := d.TableCertain("u3")
+	snap := d.Snapshot()
+	defer snap.Close()
+	certain, err := snap.TableCertain("u3")
 	if err != nil || certain {
 		t.Errorf("u3 should be uncertain: %v %v", certain, err)
 	}

@@ -41,7 +41,9 @@ func TestInsertSelectFromUncertainPreservesConditions(t *testing.T) {
 	mustRun(t, d, `create table base (x int, p float); insert into base values (1,0.5),(2,0.25)`)
 	mustRun(t, d, `create table dest (x int)`)
 	mustRun(t, d, `insert into dest select x from (pick tuples from base with probability p) u`)
-	certain, _ := d.TableCertain("dest")
+	snap := d.Snapshot()
+	certain, _ := snap.TableCertain("dest")
+	snap.Close()
 	if certain {
 		t.Fatal("INSERT SELECT must carry conditions")
 	}
@@ -99,7 +101,7 @@ func TestTransactionUndoAcrossMixedOps(t *testing.T) {
 			t.Errorf("row %d: %v vs %v", i, ba[i], aa[i])
 		}
 	}
-	if sch, _ := d.TableSchema("t1"); sch.Len() != 1 {
+	if sch, _ := d.SchemaOf("t1"); sch.Len() != 1 {
 		t.Error("recreated table should have been rolled back to the original")
 	}
 }

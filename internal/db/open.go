@@ -64,21 +64,6 @@ func (d *Database) newTable(name string, sch *schema.Schema) (*storage.Table, er
 	return storage.NewTableWith(name, sch, eng), nil
 }
 
-// commitDurable ends the current statement's WAL batch. Called with
-// the exclusive lock held, after a write that logged records outside
-// the transaction machinery (QueryRel's direct write path) — including
-// failed ones: partial effects already applied to the heap mirrors
-// were logged, so the commit record is what keeps the durable state
-// converged with memory. Transactions never need this: their buffered
-// writes touch the WAL only during commit replay, which ends its own
-// batch.
-func (d *Database) commitDurable() error {
-	if d.durable == nil {
-		return nil
-	}
-	return d.durable.Commit()
-}
-
 // EngineName reports which storage engine backs the database.
 func (d *Database) EngineName() string {
 	if d.durable == nil {

@@ -8,10 +8,11 @@ package db
 // values bound as executor arguments. Correctness does not depend on
 // the cache: a cached plan differs from a fresh one only in the
 // planning work saved, never in the rows produced, and a generation
-// counter bumped by every write-classified statement (DDL, DML,
-// repair-key / pick-tuples queries, transactions, snapshot loads)
-// invalidates every entry wholesale, so a plan built against a
-// dropped or mutated schema can never be replayed.
+// counter bumped by every commit that changes live state (DDL, DML,
+// transactions, snapshot loads) invalidates every entry wholesale, so
+// a plan built against a dropped or mutated schema can never be
+// replayed. Plans with repair-key or pick-tuples are never cached
+// (sql.NormalizeQuery refuses them).
 
 import (
 	"container/list"
@@ -108,32 +109,25 @@ func (d *Database) PlanCacheStats() (hits, misses, entries int64) {
 }
 
 // bumpPlanGen advances the plan-cache generation, invalidating every
-// cached plan. Called (under the exclusive lock) by every
-// write-classified statement and by snapshot loads — any event that
-// can change schemas, table contents, or the world-set store.
+// cached plan. Called (under the exclusive lock) by every commit that
+// publishes effects and by snapshot loads — any event that can change
+// schemas, table contents, or the world-set store.
 func (d *Database) bumpPlanGen() { d.planGen.Add(1) }
 
-// planQuery compiles a query through the normalized-plan cache and the
-// cost-aware optimizer. cat is the catalog to plan against, est the
-// row-count source for the same state (a Snapshot on the read path,
-// the live database under the exclusive lock), and gen the plan-cache
-// generation consistent with that state.
+// planFor compiles a query against the snapshot through the
+// normalized-plan cache and the cost-aware optimizer; the snapshot's
+// generation says which cached plans are valid for it.
 //
 // The returned args must be installed as the statement executor's Args
 // before the plan is opened: a cached (or freshly normalized) plan
 // reads its literals from there. fp is the normalized fingerprint (""
 // when the query does not normalize) and hit reports whether the plan
 // came from the cache.
-func (d *Database) planQuery(q sql.Query, cat plan.Catalog, est plan.Estimator, gen int64) (n plan.Node, args []types.Value, fp string, hit bool, err error) {
-	var (
-		norm sql.Query
-		ok   bool
-	)
-	if sql.QueryReadOnly(q) {
-		norm, args, fp, ok = sql.NormalizeQuery(q)
-	}
+func (s *Snapshot) planFor(q sql.Query) (n plan.Node, args []types.Value, fp string, hit bool, err error) {
+	d := s.db
+	norm, args, fp, ok := sql.NormalizeQuery(q)
 	if ok {
-		if cached, found := d.plans.lookup(fp, gen); found {
+		if cached, found := d.plans.lookup(fp, s.gen); found {
 			return cached, args, fp, true, nil
 		}
 	}
@@ -141,20 +135,20 @@ func (d *Database) planQuery(q sql.Query, cat plan.Catalog, est plan.Estimator, 
 	if ok {
 		build = norm
 	}
-	n, err = plan.Build(build, cat)
+	n, err = plan.Build(build, s)
 	if err != nil && ok {
 		// The parameterized form failed to plan (a construct that
 		// needs the literal at plan time slipped past normalization's
 		// freeze list). Fall back to the original query, uncached.
 		ok, args, fp = false, nil, ""
-		n, err = plan.Build(q, cat)
+		n, err = plan.Build(q, s)
 	}
 	if err != nil {
 		return nil, nil, "", false, err
 	}
-	n = plan.Optimize(n, plan.OptOptions{Est: est})
+	n = plan.Optimize(n, plan.OptOptions{Est: s})
 	if ok && plan.Cacheable(n) {
-		d.plans.insert(fp, n, gen)
+		d.plans.insert(fp, n, s.gen)
 	}
 	return n, args, fp, false, nil
 }

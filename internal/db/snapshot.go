@@ -25,9 +25,9 @@ import (
 //
 // This is what makes cursor reads snapshot-isolated: OpenQuery takes
 // the engine's read lock only long enough to capture a Snapshot, then
-// releases it. Only read-only queries may run against a snapshot —
-// repair-key / pick-tuples allocate world-set variables, which a
-// frozen store must never do.
+// releases it. The frozen store never allocates: a query with
+// repair-key or pick-tuples runs on a private overlay of it instead
+// (see SnapshotFor).
 //
 // SnapshotFor scopes the capture to the tables the statement
 // references (sql.StatementTables): while such a snapshot is open, a
@@ -67,11 +67,19 @@ func (d *Database) Snapshot() *Snapshot {
 // for the reader: a table missing from a complete walk is one the
 // statement cannot name, and naming it anyway fails at plan time with
 // the same "does not exist" it would get after a DROP.
+//
+// When s allocates world-set variables (sql.Allocates), the snapshot's
+// executor gets a private overlay of the frozen store: the statement's
+// variables live there and are dropped with the snapshot, so they never
+// reach the shared store, the WAL or the plan-cache generation.
 func (d *Database) SnapshotFor(s sql.Statement) *Snapshot {
 	names, complete := sql.StatementTables(s)
 	d.mu.RLock()
 	snap := d.snapshotLocked(scopeSet(names, complete))
 	d.mu.RUnlock()
+	if sql.Allocates(s) {
+		snap.exec.Store = snap.store.Overlay()
+	}
 	return snap
 }
 
@@ -192,24 +200,26 @@ func (s *Snapshot) TableLen(name string) (int, error) {
 	return t.Len(), nil
 }
 
-// Query plans and runs a read-only query against the snapshot,
-// draining the streaming pipeline into a materialised result. No
-// engine lock is held at any point. Planning goes through the
+// Query plans and runs a query against the snapshot, draining the
+// streaming pipeline into a materialised result. No engine lock is
+// held at any point. Planning goes through the
 // database's normalized-plan cache and the cost-aware optimizer: a
 // repeated query shape reuses its cached plan with fresh literal
 // bindings (see plancache.go).
 func (s *Snapshot) Query(q sql.Query) (*urel.Rel, error) {
-	rel, _, err := s.queryPlanned(q)
+	rel, _, err := s.queryPlanned(q, nil)
 	return rel, err
 }
 
 // queryPlanned is Query, also returning the plan root for traced
-// callers.
-func (s *Snapshot) queryPlanned(q sql.Query) (*urel.Rel, plan.Node, error) {
+// callers. lq (when non-nil) receives the plan root once planning
+// completes, so the live-query registry can show the operator tree.
+func (s *Snapshot) queryPlanned(q sql.Query, lq *LiveQuery) (*urel.Rel, plan.Node, error) {
 	n, err := s.plan(q)
 	if err != nil {
 		return nil, nil, err
 	}
+	lq.setRoot(n)
 	it, err := s.exec.Open(n)
 	if err != nil {
 		return nil, n, err
@@ -221,10 +231,7 @@ func (s *Snapshot) queryPlanned(q sql.Query) (*urel.Rel, plan.Node, error) {
 // plan compiles q against the snapshot through the plan cache and
 // installs the normalized literal bindings on the snapshot's executor.
 func (s *Snapshot) plan(q sql.Query) (plan.Node, error) {
-	if !sql.QueryReadOnly(q) {
-		return nil, fmt.Errorf("db: internal: write query (repair-key/pick-tuples) run against a snapshot")
-	}
-	n, args, _, _, err := s.db.planQuery(q, s, s, s.gen)
+	n, args, _, _, err := s.planFor(q)
 	if err != nil {
 		return nil, err
 	}

@@ -6,9 +6,9 @@ package db
 // executes every statement against a private write layer over it:
 // table writes land in per-table storage.Overlay buffers (base rows
 // keep their ids, appends take ids beyond the base extent), DDL in
-// created/dropped bookkeeping, and repair-key / pick-tuples allocate
-// world-set variables in a private ws overlay whose IDs start at the
-// snapshot's variable count. Nothing a transaction does is visible to
+// created/dropped bookkeeping, and CREATE TABLE ... AS / INSERT ...
+// SELECT over repair-key / pick-tuples allocate world-set variables in
+// a private ws overlay whose IDs start at the snapshot's variable count. Nothing a transaction does is visible to
 // any other session, touches the WAL, or takes the database lock:
 // statements inside a transaction serialise only on the transaction's
 // own mutex.
@@ -124,8 +124,10 @@ type Txn struct {
 	// wsBase is the snapshot's variable count: overlay variables take
 	// ids from wsBase up and are remapped at commit.
 	wsBase int
-	// wsOver is the private world-set overlay repair-key / pick-tuples
-	// allocate into.
+	// wsOver is the private world-set overlay into which the
+	// transaction's DDL and DML allocate repair-key / pick-tuples
+	// variables; commit publishes them. A query gets an overlay of
+	// wsOver for itself alone.
 	wsOver *ws.Store
 	// exec is the transaction's forked executor, bound to the txn
 	// catalog and the ws overlay.
@@ -745,7 +747,11 @@ func (t *Txn) runStatement(s sql.Statement, tr *trace.Trace, lq *LiveQuery) (*Re
 	}
 	t.exec.Tracer = tr
 	t.exec.Cancel = lq.Flag()
-	defer func() { t.exec.Tracer, t.exec.Cancel = nil, nil }()
+	if sql.Allocates(s) {
+		// A query's variables die with it; only DDL and DML publish.
+		t.exec.Store = t.wsOver.Overlay()
+	}
+	defer func() { t.exec.Tracer, t.exec.Cancel, t.exec.Store = nil, nil, t.wsOver }()
 	t.recordReads(s)
 	switch s := s.(type) {
 	case *sql.CreateTable:
@@ -759,20 +765,9 @@ func (t *Txn) runStatement(s sql.Statement, tr *trace.Trace, lq *LiveQuery) (*Re
 	case *sql.Delete:
 		return noNode(t.del(s))
 	case *sql.QueryStmt:
-		rel, n, err := t.queryPlanned(s.Query, lq)
-		if err != nil {
-			return nil, n, err
-		}
-		return &Result{Rel: rel}, n, nil
+		return result(t.queryPlanned(s.Query, lq))
 	case *sql.ExplainStmt:
-		if s.Analyze {
-			if tr == nil {
-				tr = trace.New()
-			}
-			return explainAnalyze(s, t, t.exec, tr, lq)
-		}
-		res, err := explain(s, t)
-		return res, nil, err
+		return runExplain(s, t, t.exec, tr, lq)
 	default:
 		return nil, nil, fmt.Errorf("db: unsupported statement %T in a transaction", s)
 	}

@@ -54,14 +54,21 @@ func allVars(s *ws.Store) []ws.VarID {
 	return out
 }
 
+// snapRel reads a stored table through a snapshot.
+func snapRel(d *Database, name string) (*urel.Rel, error) {
+	snap := d.Snapshot()
+	defer snap.Close()
+	return snap.TableRel(name)
+}
+
 // checkCommutes verifies the commutation property for one query. The
 // query must reference only u1/u2; per world, the uncertain tables are
 // replaced by their instance in that world.
 func checkCommutes(t *testing.T, d *Database, query string) {
 	t.Helper()
 	res := mustRun(t, d, query)
-	u1, _ := d.TableRel("u1")
-	u2, _ := d.TableRel("u2")
+	u1, _ := snapRel(d, "u1")
+	u2, _ := snapRel(d, "u2")
 
 	d.Store().EnumerateWorlds(allVars(d.Store()), func(assign map[ws.VarID]int, p float64) {
 		// Expected: run the query in a fresh certain database holding
@@ -143,7 +150,7 @@ func TestESumMatchesExpectation(t *testing.T) {
 	d := worldFixture(t)
 	res := mustRun(t, d, `select k, esum(v) s, ecount() c from u1 group by k order by k`)
 
-	u1, _ := d.TableRel("u1")
+	u1, _ := snapRel(d, "u1")
 	wantSum := map[int64]float64{}
 	wantCnt := map[int64]float64{}
 	d.Store().EnumerateWorlds(allVars(d.Store()), func(assign map[ws.VarID]int, p float64) {
@@ -169,7 +176,7 @@ func TestPossibleMatchesWorldSemantics(t *testing.T) {
 	d := worldFixture(t)
 	res := mustRun(t, d, `select possible v from u1 order by v`)
 
-	u1, _ := d.TableRel("u1")
+	u1, _ := snapRel(d, "u1")
 	want := map[int64]bool{}
 	d.Store().EnumerateWorlds(allVars(d.Store()), func(assign map[ws.VarID]int, p float64) {
 		for _, tp := range u1.InWorld(assign) {
@@ -193,8 +200,8 @@ func TestUncertainINCommutesWithWorlds(t *testing.T) {
 	d := worldFixture(t)
 	res := mustRun(t, d, `select k, conf() p from u1 where k in (select k from u2) group by k order by k`)
 
-	u1, _ := d.TableRel("u1")
-	u2, _ := d.TableRel("u2")
+	u1, _ := snapRel(d, "u1")
+	u2, _ := snapRel(d, "u2")
 	want := map[int64]float64{}
 	d.Store().EnumerateWorlds(allVars(d.Store()), func(assign map[ws.VarID]int, p float64) {
 		inU2 := map[int64]bool{}

@@ -164,11 +164,12 @@ func (e *Executor) fragment(n plan.Node) (scan *plan.Scan, semis []*plan.SemiJoi
 		for _, item := range n.Items {
 			if item.IsTconf {
 				// tconf workers read the world-set store. That is safe
-				// only against a frozen store (the snapshot read path):
-				// on the live path, a sibling branch of the same
-				// write-classified statement may be allocating
-				// variables — a repair-key in the other arm of a join —
-				// and Store has no internal locking.
+				// only against a frozen store: on an overlay (a statement
+				// with repair key or pick tuples, or one inside a
+				// transaction), a sibling branch of the same statement
+				// may be allocating variables — a repair-key in the
+				// other arm of a join — and Store has no internal
+				// locking.
 				if e.Store == nil || !e.Store.Frozen() {
 					return nil, nil, false
 				}

@@ -372,12 +372,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // handleQueryStream serves POST /v1/query/stream: a single query
 // statement whose result is written as NDJSON stream frames (header,
 // batches, done/error — see wire.StreamFrame), flushed per batch so
-// the client sees the first rows before the scan completes. Read-only
-// queries stream straight off the engine's iterator pipeline over a
+// the client sees the first rows before the scan completes. Queries
+// stream straight off the engine's iterator pipeline over a
 // point-in-time snapshot, so a stalled or slow client can never block
-// a writer; repair-key / pick-tuples queries are writes and run to
-// completion under the usual admission policy before their stored
-// result is streamed.
+// a writer; a query inside the session's transaction runs to
+// completion first and its materialised result is streamed.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	s.streamsTotal.Add(1)
 	tid := traceID(r)
@@ -400,15 +399,11 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := s.newTrace(tid)
 	meta := dbpkg.QueryMeta{SQL: src, Session: sessionToken(sess), Txn: s.sessionTxn(sess)}
-	if sqlpkg.ReadOnly(st) {
-		s.readStmtsTotal.Add(1)
-	} else {
-		s.writeStmtsTotal.Add(1)
-	}
+	s.readStmtsTotal.Add(1)
 	start := time.Now()
-	// The engine streams read-only out-of-transaction queries off a
-	// snapshot; writes and in-transaction queries come back as a
-	// materialised-result cursor.
+	// The engine streams out-of-transaction queries off a snapshot;
+	// in-transaction queries come back as a materialised-result
+	// cursor.
 	ecur, root, err := s.eng.OpenQueryStmtMeta(st, tr, meta)
 	if err != nil {
 		s.writeError(w, err)
@@ -775,6 +770,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "maybms_stream_queries_total %d\n", s.streamsTotal.Load())
 	fmt.Fprintf(w, "maybms_rows_streamed_total %d\n", s.rowsStreamed.Load())
 	fmt.Fprintf(w, "maybms_snapshots_open %d\n", s.eng.SnapshotsOpen())
+	fmt.Fprintf(w, "maybms_ws_vars %d\n", s.eng.WSVars())
 	pcHits, pcMisses, pcEntries := s.eng.PlanCacheStats()
 	fmt.Fprintf(w, "maybms_plan_cache_hits_total %d\n", pcHits)
 	fmt.Fprintf(w, "maybms_plan_cache_misses_total %d\n", pcMisses)

@@ -106,8 +106,8 @@ func TestStreamWriteQueryAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// repair key is a write: the stream endpoint must run it under the
-	// server's write admission and then stream the stored result.
+	// A query's own repair key is a read: it streams off a snapshot,
+	// its variables in the snapshot's private overlay.
 	st, err := c.QueryRows(`select conf() from (repair key in weather weight by w) r where outlook <> 'snow'`)
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +118,38 @@ func TestStreamWriteQueryAdmission(t *testing.T) {
 	}
 	if p := st.Row()[0].(float64); p < 0.89 || p > 0.91 {
 		t.Fatalf("conf %v, want 0.9", p)
+	}
+}
+
+// TestWSVarsGauge: maybms_ws_vars counts the shared store's variables.
+// A stored repair key raises it; a query's own repair key, over either
+// query endpoint, leaves it where it was.
+func TestWSVarsGauge(t *testing.T) {
+	base, mdb, _ := startServer(t, Options{})
+	mdb.MustExec(`create table weather (outlook text, w float);
+		insert into weather values ('sun', 6), ('rain', 3), ('snow', 1);
+		create table sky as repair key in weather weight by w`)
+	if n := metricValue(t, base, "maybms_ws_vars"); n != 1 {
+		t.Fatalf("maybms_ws_vars = %d after one stored repair key, want 1", n)
+	}
+	c, err := client.Open(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const q = `select outlook, conf() from (repair key in weather weight by w) r group by outlook`
+	for i := 0; i < 5; i++ {
+		c.MustQuery(q)
+		st, err := c.QueryRows(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for st.Next() {
+		}
+		st.Close()
+	}
+	if n := metricValue(t, base, "maybms_ws_vars"); n != 1 {
+		t.Errorf("maybms_ws_vars = %d after ad-hoc repair-key reads, want 1", n)
 	}
 }
 

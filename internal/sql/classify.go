@@ -1,123 +1,122 @@
 package sql
 
 // Statement classification for concurrency control. The database
-// serialises writers behind an exclusive lock but lets read-only
-// statements share a read lock; classification must therefore be
-// conservative: anything that can mutate the catalog, stored tuples,
-// transaction state, or the world-set store is a write.
-//
-// The subtlety is that MayBMS queries are not automatically read-only:
-// repair-key and pick-tuples allocate fresh world-set variables while
-// executing (the uncertainty-introducing operators of the parsimonious
-// translation), so a SELECT whose FROM clause contains either construct
-// mutates the shared store and must take the exclusive path.
+// serialises writers behind an exclusive lock but runs reads on a
+// point-in-time snapshot. Every query is a read, including one that
+// introduces uncertainty: repair-key and pick-tuples allocate world-set
+// variables, but a query allocates them in a statement-private overlay
+// of the world-set store (Allocates). Only CREATE TABLE ... AS and
+// INSERT ... SELECT keep such variables, and those are writes.
 
 // ReadOnly reports whether executing s cannot modify any shared
-// database state, so it is safe to run under a shared (read) lock
-// concurrently with other read-only statements.
+// database state, so it is safe to run on a snapshot concurrently with
+// other statements: every query and every EXPLAIN, with or without
+// ANALYZE.
 func ReadOnly(s Statement) bool {
+	switch s.(type) {
+	case *QueryStmt, *ExplainStmt:
+		return true
+	}
+	// DDL, DML, and transaction control are writes.
+	return false
+}
+
+// Allocates reports whether executing read statement s allocates
+// world-set variables: it is a query, or an EXPLAIN ANALYZE, with a
+// repair-key or pick-tuples construct anywhere in its tree. Plain
+// EXPLAIN only plans, so it never allocates. Writes report false:
+// whatever their queries allocate is kept.
+func Allocates(s Statement) bool {
 	switch s := s.(type) {
 	case *QueryStmt:
-		return QueryReadOnly(s.Query)
+		return queryAllocates(s.Query)
 	case *ExplainStmt:
-		// EXPLAIN only builds the plan; the uncertainty-introducing
-		// operators allocate variables at execution time, not planning
-		// time, so even an EXPLAIN of a repair-key query is read-only.
-		// EXPLAIN ANALYZE runs the query for real, so it inherits the
-		// query's own classification.
-		if s.Analyze {
-			return QueryReadOnly(s.Query)
-		}
-		return true
+		return s.Analyze && queryAllocates(s.Query)
 	default:
-		// DDL, DML, and transaction control are writes.
 		return false
 	}
 }
 
-// QueryReadOnly reports whether evaluating q cannot modify shared
-// state, i.e. no repair-key or pick-tuples construct appears anywhere
-// in the query tree (including FROM subqueries, union arms, and
-// subqueries nested in scalar expressions).
-func QueryReadOnly(q Query) bool {
+// queryAllocates reports whether evaluating q allocates world-set
+// variables, i.e. a repair-key or pick-tuples construct appears
+// anywhere in the query tree (including FROM subqueries, union arms,
+// and subqueries nested in scalar expressions).
+func queryAllocates(q Query) bool {
 	switch q := q.(type) {
 	case nil:
-		return true
+		return false
 	case *Select:
 		for _, f := range q.From {
-			if f.Subquery != nil && !QueryReadOnly(f.Subquery) {
-				return false
+			if f.Subquery != nil && queryAllocates(f.Subquery) {
+				return true
 			}
 		}
 		for _, it := range q.Items {
-			if !exprReadOnly(it.Expr) {
-				return false
+			if exprAllocates(it.Expr) {
+				return true
 			}
 		}
-		if !exprReadOnly(q.Where) || !exprReadOnly(q.Having) {
-			return false
+		if exprAllocates(q.Where) || exprAllocates(q.Having) {
+			return true
 		}
 		for _, g := range q.GroupBy {
-			if !exprReadOnly(g) {
-				return false
+			if exprAllocates(g) {
+				return true
 			}
 		}
 		for _, o := range q.OrderBy {
-			if !exprReadOnly(o.Expr) {
-				return false
+			if exprAllocates(o.Expr) {
+				return true
 			}
 		}
-		return true
+		return false
 	case *Union:
-		return QueryReadOnly(q.Left) && QueryReadOnly(q.Right)
-	case *RepairKey, *PickTuples:
-		return false
+		return queryAllocates(q.Left) || queryAllocates(q.Right)
 	default:
-		// Unknown query forms are conservatively writes.
-		return false
+		// RepairKey, PickTuples, and unknown query forms, which are
+		// conservatively assumed to allocate.
+		return true
 	}
 }
 
-// exprReadOnly walks a scalar expression looking for subqueries that
+// exprAllocates walks a scalar expression looking for subqueries that
 // contain uncertainty-introducing constructs.
-func exprReadOnly(e Expr) bool {
+func exprAllocates(e Expr) bool {
 	switch e := e.(type) {
-	case nil:
-		return true
-	case ColRef, Lit, Param:
-		return true
+	case nil, ColRef, Lit, Param:
+		return false
 	case *Unary:
-		return exprReadOnly(e.E)
+		return exprAllocates(e.E)
 	case *Binary:
-		return exprReadOnly(e.L) && exprReadOnly(e.R)
+		return exprAllocates(e.L) || exprAllocates(e.R)
 	case *FuncCall:
 		for _, a := range e.Args {
-			if !exprReadOnly(a) {
-				return false
+			if exprAllocates(a) {
+				return true
 			}
 		}
-		return true
+		return false
 	case *InList:
-		if !exprReadOnly(e.E) {
-			return false
+		if exprAllocates(e.E) {
+			return true
 		}
 		for _, x := range e.List {
-			if !exprReadOnly(x) {
-				return false
+			if exprAllocates(x) {
+				return true
 			}
 		}
-		return true
-	case *InSubquery:
-		return exprReadOnly(e.E) && QueryReadOnly(e.Query)
-	case *Exists:
-		return QueryReadOnly(e.Query)
-	case *IsNull:
-		return exprReadOnly(e.E)
-	case *Between:
-		return exprReadOnly(e.E) && exprReadOnly(e.Lo) && exprReadOnly(e.Hi)
-	case *Cast:
-		return exprReadOnly(e.E)
-	default:
 		return false
+	case *InSubquery:
+		return exprAllocates(e.E) || queryAllocates(e.Query)
+	case *Exists:
+		return queryAllocates(e.Query)
+	case *IsNull:
+		return exprAllocates(e.E)
+	case *Between:
+		return exprAllocates(e.E) || exprAllocates(e.Lo) || exprAllocates(e.Hi)
+	case *Cast:
+		return exprAllocates(e.E)
+	default:
+		return true
 	}
 }

@@ -71,23 +71,27 @@ func TestAnalyzeAsIdentifier(t *testing.T) {
 	}
 }
 
-// Plain EXPLAIN never executes, so it is read-only even over write
-// operators; EXPLAIN ANALYZE really runs the query, so it inherits the
-// query's classification.
+// Every EXPLAIN is a read. Plain EXPLAIN never executes, so it
+// allocates nothing even over repair key or pick tuples; EXPLAIN
+// ANALYZE really runs the query, so it allocates when the query does.
 func TestExplainAnalyzeClassification(t *testing.T) {
 	cases := []struct {
-		src      string
-		readOnly bool
+		src       string
+		allocates bool
 	}{
-		{`explain select * from (repair key a in t weight by w) r`, true},
-		{`explain analyze select * from t`, true},
-		{`explain analyze select a, conf() from t group by a`, true},
-		{`explain analyze select * from (repair key a in t weight by w) r`, false},
-		{`explain analyze select * from (pick tuples from t independently) p`, false},
+		{`explain select * from (repair key a in t weight by w) r`, false},
+		{`explain analyze select * from t`, false},
+		{`explain analyze select a, conf() from t group by a`, false},
+		{`explain analyze select * from (repair key a in t weight by w) r`, true},
+		{`explain analyze select * from (pick tuples from t independently) p`, true},
 	}
 	for _, c := range cases {
-		if got := ReadOnly(parseOne(t, c.src)); got != c.readOnly {
-			t.Errorf("ReadOnly(%q) = %v, want %v", c.src, got, c.readOnly)
+		s := parseOne(t, c.src)
+		if !ReadOnly(s) {
+			t.Errorf("ReadOnly(%q) = false, want true", c.src)
+		}
+		if got := Allocates(s); got != c.allocates {
+			t.Errorf("Allocates(%q) = %v, want %v", c.src, got, c.allocates)
 		}
 	}
 }

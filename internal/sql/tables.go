@@ -42,10 +42,9 @@ func StatementTables(s Statement) (names []string, complete bool) {
 // ReadTables returns the lower-cased names of every stored table whose
 // *contents* flow into the effects of statement s — the sources of
 // INSERT ... SELECT and CREATE TABLE ... AS, subqueries nested in
-// UPDATE/DELETE predicates, and every table a write query (repair-key,
-// pick-tuples) draws tuples from. Write targets themselves are
-// excluded: an INSERT's effect depends on what it inserts, not on what
-// the target already holds. Optimistic transactions use this to record
+// UPDATE/DELETE predicates, and every table a query draws tuples
+// from. Write targets themselves are excluded: an INSERT's effect
+// depends on what it inserts, not on what the target already holds. Optimistic transactions use this to record
 // read dependencies for commit-time validation; like StatementTables
 // the analysis is conservative, reporting incomplete for any construct
 // it does not recognise.

@@ -23,7 +23,9 @@ type QueryResponse struct {
 	Rows    [][]Cell `json:"rows"`
 	Certain bool     `json:"certain"`
 	// Lineage holds per-row condition renderings for uncertain
-	// results; omitted for certain ones.
+	// results; omitted for certain ones. Variables that a repair key or
+	// pick tuples in the query itself introduced are local to the
+	// statement: they name no variable of the server's world-set store.
 	Lineage []string `json:"lineage,omitempty"`
 }
 

@@ -29,6 +29,7 @@ package maybms
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -38,6 +39,7 @@ import (
 	"maybms/internal/condition"
 	"maybms/internal/db"
 	"maybms/internal/lineage"
+	"maybms/internal/sql"
 	"maybms/internal/types"
 	"maybms/internal/urel"
 	"maybms/internal/ws"
@@ -194,7 +196,11 @@ func (d *DB) MustExec(src string) Result {
 
 // Rows is a materialised query result. For uncertain results, Lineage
 // holds one world-set descriptor per row (empty string for
-// unconditional tuples) and Certain is false.
+// unconditional tuples) and Certain is false. A query that introduces
+// uncertainty itself (repair key or pick tuples in the query rather
+// than in a stored table) allocates its variables in a private overlay
+// that ends with the statement, so those variables in its Lineage are
+// local to the statement and name no variable of WorldStore.
 type Rows struct {
 	// Columns are the output column names.
 	Columns []string
@@ -204,7 +210,8 @@ type Rows struct {
 	// Certain reports whether the result is a t-certain table.
 	Certain bool
 	// Lineage holds the per-row condition rendering for uncertain
-	// results; empty otherwise.
+	// results; empty otherwise. Variables introduced by the query
+	// itself are local to its statement (see Rows).
 	Lineage []string
 }
 
@@ -339,10 +346,11 @@ type RowsCursor struct {
 }
 
 // QueryRows runs a single query statement and returns a streaming
-// cursor over its result. Read-only queries stream from a snapshot
-// captured at this call; queries containing repair-key or pick-tuples
-// (writes: they allocate world-set variables) are executed to
-// completion first and the cursor serves the stored result.
+// cursor over its result. The query streams from a snapshot captured
+// at this call, including one with repair key or pick tuples, whose
+// world-set variables live in a private overlay as long as the cursor.
+// Inside a transaction the query runs to completion first and the
+// cursor serves the materialised result.
 func (d *DB) QueryRows(src string) (*RowsCursor, error) {
 	cur, err := d.inner.OpenQuery(src)
 	if err != nil {
@@ -353,7 +361,7 @@ func (d *DB) QueryRows(src string) (*RowsCursor, error) {
 
 // RowsCursorFromRel wraps a materialised U-relation in a cursor.
 // Intended for in-process frontends (the network server's streaming
-// endpoint serving write-query results); most callers want QueryRows.
+// endpoint); most callers want QueryRows.
 func RowsCursorFromRel(rel *urel.Rel) *RowsCursor {
 	return newRowsCursor(db.NewRelCursor(rel))
 }
@@ -558,7 +566,10 @@ func (d *DB) ExportCSV(w io.Writer, query string) error {
 
 // MustQueryRel runs a query and returns the raw U-relation result,
 // exposing per-tuple conditions. Intended for the experiment harness
-// and advanced inspection; most callers want Query.
+// and advanced inspection; most callers want Query. Conditions over
+// variables of stored tables can be evaluated against WorldStore;
+// variables a repair key or pick tuples in the query itself allocated
+// are local to the statement, and WorldStore does not hold them.
 func (d *DB) MustQueryRel(src string) *urel.Rel {
 	r, err := d.inner.Run(src)
 	if err != nil || r.Rel == nil {
@@ -569,7 +580,9 @@ func (d *DB) MustQueryRel(src string) *urel.Rel {
 
 // WorldStore exposes the database's world-set store (the registry of
 // random variables), for the experiment harness and for computing
-// marginals of raw conditions.
+// marginals of raw conditions. It holds the variables of stored
+// tables only: a query's own repair key or pick tuples allocates into
+// a private overlay that ends with the statement.
 func (d *DB) WorldStore() *ws.Store { return d.inner.Store() }
 
 // RunScript executes a script of statements and returns the last
@@ -588,6 +601,14 @@ func (d *DB) RunScript(src string) (*Rows, Result, error) {
 	return rows, Result{RowsAffected: r.RowsAffected, Msg: r.Msg}, nil
 }
 
+// ErrStatementLineage is returned by ConditionOn and Posterior.Prob
+// when their query introduces uncertainty itself (repair key or pick
+// tuples): its variables are local to the statement, so its lineage
+// cannot be conditioned on or against. Such an ad-hoc draw is
+// independent of every stored table anyway; store it with CREATE TABLE
+// ... AS first, or ask for its probability with conf().
+var ErrStatementLineage = errors.New("maybms: the query's own repair key or pick tuples has lineage local to the statement")
+
 // Posterior is a view of the database conditioned on evidence — the
 // event that some query returned at least one answer (Koch & Olteanu,
 // "Conditioning Probabilistic Databases", VLDB 2008). Posterior
@@ -598,20 +619,41 @@ type Posterior struct {
 	cond *condition.Conditioned
 }
 
-// ConditionOn conditions the database on the evidence that the given
-// query has a non-empty answer. It fails when the evidence has
-// probability zero.
-func (d *DB) ConditionOn(evidenceQuery string) (*Posterior, error) {
-	r, err := d.inner.Run(evidenceQuery)
+// event runs query and returns the event that its answer is non-empty:
+// the disjunction of its rows' conditions. A query that allocates
+// world-set variables fails with ErrStatementLineage.
+func (d *DB) event(query string) (lineage.DNF, error) {
+	stmts, err := sql.ParseAll(query)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range stmts {
+		if sql.Allocates(s) {
+			return nil, ErrStatementLineage
+		}
+	}
+	r, err := d.inner.Run(query)
 	if err != nil {
 		return nil, err
 	}
 	if r.Rel == nil {
-		return nil, fmt.Errorf("maybms: evidence must be a query")
+		return nil, fmt.Errorf("maybms: expected a query")
 	}
 	event := make(lineage.DNF, 0, r.Rel.Len())
 	for _, t := range r.Rel.Tuples {
 		event = append(event, t.Cond)
+	}
+	return event, nil
+}
+
+// ConditionOn conditions the database on the evidence that the given
+// query has a non-empty answer. It fails when the evidence has
+// probability zero, and with ErrStatementLineage when the query
+// introduces uncertainty itself.
+func (d *DB) ConditionOn(evidenceQuery string) (*Posterior, error) {
+	event, err := d.event(evidenceQuery)
+	if err != nil {
+		return nil, err
 	}
 	c, err := condition.New(d.inner.Store(), event)
 	if err != nil {
@@ -624,18 +666,12 @@ func (d *DB) ConditionOn(evidenceQuery string) (*Posterior, error) {
 func (p *Posterior) EvidenceProb() float64 { return p.cond.EvidenceProb() }
 
 // Prob returns the posterior probability that the given query has a
-// non-empty answer, given the evidence.
+// non-empty answer, given the evidence. Like ConditionOn it fails with
+// ErrStatementLineage when the query introduces uncertainty itself.
 func (p *Posterior) Prob(query string) (float64, error) {
-	r, err := p.db.inner.Run(query)
+	event, err := p.db.event(query)
 	if err != nil {
 		return 0, err
-	}
-	if r.Rel == nil {
-		return 0, fmt.Errorf("maybms: expected a query")
-	}
-	event := make(lineage.DNF, 0, r.Rel.Len())
-	for _, t := range r.Rel.Tuples {
-		event = append(event, t.Cond)
 	}
 	return p.cond.Prob(event), nil
 }

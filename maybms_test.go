@@ -2,6 +2,7 @@ package maybms
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -168,8 +169,9 @@ func TestTablesListing(t *testing.T) {
 
 func TestMustQueryRelAndWorldStore(t *testing.T) {
 	db := Open()
-	db.MustExec(`create table c (f text, w float); insert into c values ('h',1),('t',1)`)
-	rel := db.MustQueryRel(`select f from (repair key in c weight by w) r`)
+	db.MustExec(`create table c (f text, w float); insert into c values ('h',1),('t',1);
+		create table flip as repair key in c weight by w`)
+	rel := db.MustQueryRel(`select f from flip`)
 	if rel.IsCertain() || rel.Len() != 2 {
 		t.Fatalf("rel: %v", rel)
 	}
@@ -231,5 +233,14 @@ func TestConditionOn(t *testing.T) {
 	p, err = post.Prob(`select f from flip1 where f = 'h'`)
 	if err != nil || math.Abs(p-2.0/3) > 1e-9 {
 		t.Errorf("P(h1 | h1∨h2) = %v want 2/3 (%v)", p, err)
+	}
+	// A query's own repair key has statement-local lineage: both the
+	// evidence and the posterior query refuse it.
+	const adHoc = `select f from (repair key in c weight by w) r where f = 'h'`
+	if _, err := db.ConditionOn(adHoc); !errors.Is(err, ErrStatementLineage) {
+		t.Errorf("ConditionOn over ad-hoc repair key: %v, want ErrStatementLineage", err)
+	}
+	if _, err := post.Prob(adHoc); !errors.Is(err, ErrStatementLineage) {
+		t.Errorf("Prob over ad-hoc repair key: %v, want ErrStatementLineage", err)
 	}
 }
